@@ -15,17 +15,23 @@
 // configuration is replicated to every pipe, exactly as the control plane
 // programs identical VIPTable/DIPPoolTable contents into each pipeline.
 //
-// ProcessBatch drives the pipes through N long-lived worker goroutines —
-// one per pipe, started lazily on the first batch and stopped by Close —
-// fed by bounded SPSC descriptor rings (see ring.go). The batch path is
-// allocation-free in steady state: shard buffers and lane-hash buffers are
-// per-engine and reused, the pipe choice and the per-pipe key hashes all
-// derive from one chip-level lane hash per packet (no 37-byte KeyBytes
-// serialization on the hot path), and each result slot is written in place
-// by exactly one executor. This both exercises the sharded path under the
-// race detector and, on multi-core hosts, lets the simulation itself
-// scale. Aggregate Stats, Metrics and SRAM figures are chip-level sums
-// over the pipes.
+// On a multi-pipe engine ProcessBatch drives the pipes through N
+// long-lived worker goroutines — one per pipe, started lazily on the first
+// batch and stopped by Close — fed by bounded SPSC descriptor rings (see
+// ring.go). The batch path is allocation-free in steady state: shard
+// buffers and lane-hash buffers are per-engine and reused, the pipe choice
+// and the per-pipe key hashes all derive from one chip-level lane hash per
+// packet (no 37-byte KeyBytes serialization on the hot path), and each
+// result slot is written in place by exactly one executor. This both
+// exercises the sharded path under the race detector and, on multi-core
+// hosts, lets the simulation itself scale. Aggregate Stats, Metrics and
+// SRAM figures are chip-level sums over the pipes.
+//
+// The silkroad facade builds every switch on an Engine, so a one-pipe
+// engine is the classic single-pipeline switch. Its pipe runs on the
+// data-plane config exactly as given (same seed, byte-hashed keys and
+// digests), it starts no workers, and every call, batches included, runs
+// on the caller's goroutine under the one pipe lock.
 package pipes
 
 import (
@@ -63,13 +69,11 @@ type Config struct {
 }
 
 // pipe is one forwarding pipeline: a data plane, its control-plane slice,
-// and the lock that serializes access to both (the per-pipe equivalent of
-// the single-pipe facade mutex).
+// and the lock that serializes access to both.
 type pipe struct {
-	mu        sync.Mutex
-	dp        *dataplane.Switch
-	cp        *ctrlplane.ControlPlane
-	processed uint64 // packets this pipe has handled (for occupancy stats)
+	mu sync.Mutex
+	dp *dataplane.Switch
+	cp *ctrlplane.ControlPlane
 }
 
 // Engine is a chip of N parallel pipes behind one management interface.
@@ -109,13 +113,16 @@ type Stats struct {
 	PipePackets []uint64
 }
 
-// New builds an engine of cfg.Pipes pipes. Each pipe receives 1/N of the
-// chip SRAM and of the ConnTable sizing target; seeds are diversified per
-// pipe so the pipes' hash functions are independent, as on real hardware.
 // shardSeedSalt diversifies the default shard seed away from the chip
 // seed, so sharding and in-pipe hashing stay independent functions.
 const shardSeedSalt = 0x9155_0a1d_70_4e5
 
+// New builds an engine of cfg.Pipes pipes. Each pipe receives 1/N of the
+// chip SRAM and of the ConnTable sizing target; with more than one pipe,
+// seeds are diversified per pipe so the pipes' hash functions are
+// independent, as on real hardware. A one-pipe engine runs its pipe on
+// cfg.Dataplane exactly as given, so its hashing matches a bare
+// dataplane.New(cfg.Dataplane) bit for bit.
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Pipes
 	if n < 1 {
@@ -142,11 +149,12 @@ func New(cfg Config) (*Engine, error) {
 		dcfg := cfg.Dataplane
 		dcfg.Chip = dcfg.Chip.PerPipe(n)
 		dcfg.ConnTableEntries = (cfg.Dataplane.ConnTableEntries + n - 1) / n
-		dcfg.Seed = cfg.Dataplane.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1))
 		if n > 1 {
 			// Multi-pipe chips hash the tuple once at ingress and let every
 			// pipe derive its key hash and digest from that lane hash; the
-			// single-pipe engine keeps the byte-hashing scheme bit-for-bit.
+			// single-pipe engine keeps the seed and the byte-hashing scheme
+			// bit-for-bit.
+			dcfg.Seed = cfg.Dataplane.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1))
 			dcfg.DerivedHashes = true
 			dcfg.LaneSeed = e.laneSeed
 		}
@@ -233,7 +241,6 @@ func (e *Engine) Inspect(i int, fn func(dp *dataplane.Switch, cp *ctrlplane.Cont
 func (p *pipe) process(now simtime.Time, pkt *netproto.Packet) dataplane.Result {
 	p.cp.Advance(now)
 	res := p.dp.Process(now, pkt)
-	p.processed++
 	return p.cp.HandleResult(now, pkt, res)
 }
 
@@ -241,7 +248,6 @@ func (p *pipe) process(now simtime.Time, pkt *netproto.Packet) dataplane.Result 
 func (p *pipe) processFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
 	p.cp.Advance(now)
 	res := p.dp.ProcessFrame(now, f)
-	p.processed++
 	p.cp.HandleTupleResultInto(now, f.Tuple, &res)
 	return res
 }
@@ -602,16 +608,14 @@ func (e *Engine) NextDue() (simtime.Time, bool) {
 }
 
 // PipeStats is one pipe's view of the chip: its own hardware counters,
-// software metrics and SRAM consumption. The facade exposes the same type
-// for single-pipe switches, so callers inspect per-pipe state without
-// branching on the pipe count.
+// software metrics and SRAM consumption.
 type PipeStats struct {
 	Pipe         int // pipe index on the chip
 	Dataplane    dataplane.Stats
 	Controlplane ctrlplane.Metrics
 	Connections  int    // software shadow size of this pipe
 	MemoryBytes  int    // SRAM consumed by this pipe's tables
-	Packets      uint64 // packets this pipe processed (shard balance)
+	Packets      uint64 // packets this pipe processed (Dataplane.Packets; shard balance)
 }
 
 // PerPipe returns each pipe's individual counters in pipe order.
@@ -619,13 +623,14 @@ func (e *Engine) PerPipe() []PipeStats {
 	out := make([]PipeStats, len(e.pipes))
 	for i, p := range e.pipes {
 		p.mu.Lock()
+		ds := p.dp.Stats()
 		out[i] = PipeStats{
 			Pipe:         i,
-			Dataplane:    p.dp.Stats(),
+			Dataplane:    ds,
 			Controlplane: p.cp.Metrics(),
 			Connections:  p.cp.TrackedConns(),
 			MemoryBytes:  p.dp.Memory().Total(),
-			Packets:      p.processed,
+			Packets:      ds.Packets,
 		}
 		p.mu.Unlock()
 	}
@@ -641,7 +646,7 @@ func (e *Engine) Stats() Stats {
 		ms := p.cp.Metrics()
 		out.Connections += p.cp.TrackedConns()
 		out.MemoryBytes += p.dp.Memory().Total()
-		out.PipePackets[i] = p.processed
+		out.PipePackets[i] = ds.Packets
 		p.mu.Unlock()
 		out.Dataplane.Add(ds)
 		out.Controlplane.Add(ms)

@@ -143,14 +143,12 @@ func (e *Engine) runJob(pi int, j *batchJob) {
 		for _, i := range j.idxs {
 			f := &j.frames[i]
 			p.dp.ProcessFrameInto(j.now, f, j.lanes[i], &j.results[i])
-			p.processed++
 			p.cp.HandleTupleResultInto(j.now, f.Tuple, &j.results[i])
 		}
 	} else {
 		for _, i := range j.idxs {
 			pkt := j.pkts[i]
 			p.dp.ProcessLaneInto(j.now, pkt, j.lanes[i], &j.results[i])
-			p.processed++
 			p.cp.HandleResultInto(j.now, pkt, &j.results[i])
 		}
 	}

@@ -4,8 +4,11 @@ package silkroad
 // shards traffic across independent pipes behind the same Switch API.
 
 import (
+	"math/rand"
+	"net/netip"
 	"testing"
 
+	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/netproto"
 )
@@ -118,6 +121,56 @@ func TestSinglePipeBatchMatchesProcess(t *testing.T) {
 		want := loop.Process(0, pkt)
 		if got[i] != want {
 			t.Fatalf("packet %d: batch %+v, loop %+v", i, got[i], want)
+		}
+	}
+}
+
+// TestSinglePipeHashingMatchesBarePlanes pins one-pipe hashing: a switch
+// built with Pipes 0 or 1 runs on an engine whose pipe hashes exactly like
+// a bare data plane built from the same config — same key hash, same
+// digest, and so the same DIP for every new connection.
+func TestSinglePipeHashingMatchesBarePlanes(t *testing.T) {
+	pool := Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20", "10.0.0.4:20", "10.0.0.5:20")
+	for _, pipes := range []int{0, 1} {
+		cfg := Defaults(100000)
+		cfg.Pipes = pipes
+		sw, err := NewSwitch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sw.Engine() == nil || sw.Pipes() != 1 {
+			t.Fatalf("pipes=%d: Engine() = %v, Pipes() = %d", pipes, sw.Engine(), sw.Pipes())
+		}
+		dp, err := dataplane.New(cfg.Dataplane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := ctrlplane.New(dp, cfg.Controlplane)
+		if err := sw.AddVIP(0, testVIP(), pool); err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.AddVIP(0, testVIP(), pool, 0); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(42))
+		for i := 0; i < 400; i++ {
+			pkt := clientPkt(0, netproto.FlagSYN)
+			pkt.Tuple.Src = netip.AddrFrom4([4]byte{byte(rng.Intn(223) + 1), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
+			pkt.Tuple.SrcPort = uint16(1024 + rng.Intn(64000))
+			tup := pkt.Tuple
+			if got, want := sw.Dataplane().KeyHash(tup), dp.KeyHash(tup); got != want {
+				t.Fatalf("pipes=%d tuple %d: KeyHash %#x, bare data plane %#x", pipes, i, got, want)
+			}
+			if got, want := sw.Dataplane().ConnDigest(tup), dp.ConnDigest(tup); got != want {
+				t.Fatalf("pipes=%d tuple %d: ConnDigest %#x, bare data plane %#x", pipes, i, got, want)
+			}
+			now := Time(i) * Time(Microsecond)
+			got := sw.Process(now, pkt)
+			cp.Advance(now)
+			want := cp.HandleResult(now, pkt, dp.Process(now, pkt))
+			if got.Verdict != dataplane.VerdictForward || got.DIP != want.DIP {
+				t.Fatalf("pipes=%d tuple %d: SYN went to %v (%v), bare planes chose %v", pipes, i, got.DIP, got.Verdict, want.DIP)
+			}
 		}
 	}
 }

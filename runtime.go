@@ -50,33 +50,14 @@ func newRuntime(clock Clock, s *Switch) *eventRuntime {
 }
 
 // switchSource adapts the whole switch — every pipe's control plane plus
-// its aging wheel — as one scheduler source. Deadlines come from nextDue
-// (which, unlike the simulation-facing NextEventTime, includes aging);
-// advancing runs the legacy Advance path, which takes the pipe locks
-// itself.
+// its aging wheel — as one scheduler source. Deadlines come from the
+// engine's NextDue (which, unlike the simulation-facing NextEventTime,
+// includes aging and update transitions); advancing runs the legacy
+// Advance path, which takes the pipe locks itself.
 type switchSource struct{ s *Switch }
 
-func (ss switchSource) NextEventTime() (Time, bool) { return ss.s.nextDue() }
+func (ss switchSource) NextEventTime() (Time, bool) { return ss.s.eng.NextDue() }
 func (ss switchSource) Advance(now Time)            { ss.s.Advance(now) }
-
-// nextDue returns the earliest deadline of any kind the switch has:
-// background work or aging-wheel ticks. The wall-clock driver sleeps on
-// this; NextEventTime keeps its narrower simulation semantics.
-func (s *Switch) nextDue() (Time, bool) {
-	if s.multi != nil {
-		return s.multi.NextDue()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	at, ok := s.cp.NextEventTime()
-	if ag, agOK := s.cp.NextAging(); agOK && (!ok || ag.Before(at)) {
-		at, ok = ag, true
-	}
-	if tr, trOK := s.cp.NextTransition(); trOK && (!ok || tr.Before(at)) {
-		at, ok = tr, true
-	}
-	return at, ok
-}
 
 // Now returns the current instant of the switch's clock (Config.Clock, or
 // the wall clock installed at construction).

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sync"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
@@ -257,11 +256,11 @@ type Config struct {
 	Controlplane ctrlplane.Config
 	// Pipes is the number of independent forwarding pipelines the chip runs
 	// (Tofino-class ASICs forward through 2-4 pipes, each with its own
-	// stages and SRAM share). Zero or one selects the classic single-pipe
-	// switch. With more pipes, traffic is sharded by 5-tuple hash so each
-	// connection is pinned to one pipe's ConnTable, the chip SRAM budget and
-	// ConnTable sizing target divide evenly across pipes, and Stats reports
-	// chip-level aggregates.
+	// stages and SRAM share). Zero or one means one pipe, which runs on
+	// Dataplane exactly as given. With more pipes, traffic is sharded by
+	// 5-tuple hash so each connection is pinned to one pipe's ConnTable, the
+	// chip SRAM budget and ConnTable sizing target divide evenly across
+	// pipes, and Stats reports chip-level aggregates.
 	Pipes int
 	// Telemetry, when non-nil, attaches a metrics registry: the data plane,
 	// control plane and learning filter of every pipe report their events
@@ -314,20 +313,15 @@ type Stats struct {
 // Switch is a SilkRoad load-balancing switch: the ASIC data plane plus its
 // management-CPU software, advanced together in virtual time.
 //
-// Switch methods are safe for concurrent use: the single-pipe facade
-// serializes calls the way the single pipeline and the single switch CPU
-// would, and the multi-pipe facade (Config.Pipes > 1) locks per pipe, so
-// packets of different pipes proceed in parallel. (The inner
+// Switch methods are safe for concurrent use: every switch runs on a
+// pipes.Engine, which locks per pipe, so packets of different pipes
+// proceed in parallel and a one-pipe switch serializes calls the way the
+// single pipeline and the single switch CPU would. (The inner
 // internal/dataplane and internal/ctrlplane types are not independently
 // thread-safe.)
 type Switch struct {
-	mu sync.Mutex
-	dp *dataplane.Switch
-	cp *ctrlplane.ControlPlane
-
-	// multi is non-nil when the switch runs more than one pipe; dp/cp are
-	// nil in that mode and every operation routes through the engine.
-	multi *pipes.Engine
+	// eng holds the pipes; every operation routes through it.
+	eng *pipes.Engine
 
 	// rt is the switch's event runtime (see runtime.go): the scheduler
 	// behind Switch.Run, Every and registered health checkers.
@@ -368,40 +362,16 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		return nil, errors.New("silkroad: Config.SLO requires Config.Telemetry")
 	}
 	tracer := tracerFor(cfg)
-	if cfg.Pipes > 1 {
-		pcfg := pipes.Config{
-			Pipes:        cfg.Pipes,
-			Dataplane:    cfg.Dataplane,
-			Controlplane: cfg.Controlplane,
-		}
-		if tracer != nil {
-			pcfg.Tracer = tracer
-		}
-		eng, err := pipes.New(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		s := &Switch{multi: eng, tel: cfg.Telemetry, rec: cfg.FlightRecorder}
-		s.rt = newRuntime(cfg.Clock, s)
-		s.attachIntent(tracer)
-		s.attachFaults(cfg, tracer)
-		s.attachSLO(cfg)
-		return s, nil
-	}
-	dcfg := cfg.Dataplane
-	if tracer != nil {
-		dcfg.Tracer = tracer
-	}
-	dp, err := dataplane.New(dcfg)
+	eng, err := pipes.New(pipes.Config{
+		Pipes:        cfg.Pipes,
+		Dataplane:    cfg.Dataplane,
+		Controlplane: cfg.Controlplane,
+		Tracer:       tracer,
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &Switch{
-		dp:  dp,
-		cp:  ctrlplane.New(dp, cfg.Controlplane),
-		tel: cfg.Telemetry,
-		rec: cfg.FlightRecorder,
-	}
+	s := &Switch{eng: eng, tel: cfg.Telemetry, rec: cfg.FlightRecorder}
 	s.rt = newRuntime(cfg.Clock, s)
 	s.attachIntent(tracer)
 	s.attachFaults(cfg, tracer)
@@ -476,7 +446,7 @@ func (t switchTarget) StallCPU(now Time, pipe int, d Duration) {
 	if !t.valid(pipe) {
 		return
 	}
-	t.s.inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+	t.s.eng.Inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 		cp.StallCPU(now, d)
 	})
 }
@@ -485,7 +455,7 @@ func (t switchTarget) SetInsertRateScale(pipe int, scale float64) {
 	if !t.valid(pipe) {
 		return
 	}
-	t.s.inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
+	t.s.eng.Inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
 		cp.SetInsertRateScale(scale)
 	})
 }
@@ -494,7 +464,7 @@ func (t switchTarget) SetConnTableLimit(pipe, limit int) {
 	if !t.valid(pipe) {
 		return
 	}
-	t.s.inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+	t.s.eng.Inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 		dp.SetConnTableLimit(limit)
 	})
 }
@@ -503,7 +473,7 @@ func (t switchTarget) SetLearnLoss(pipe int, rate float64, seed uint64) {
 	if !t.valid(pipe) {
 		return
 	}
-	t.s.inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+	t.s.eng.Inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 		dp.LearnFilter().SetLoss(rate, seed)
 	})
 }
@@ -533,7 +503,7 @@ type DegradedState struct {
 func (s *Switch) DegradedState() DegradedState {
 	var st DegradedState
 	for i := 0; i < s.Pipes(); i++ {
-		s.inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
+		s.eng.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
 			entries, capacity := dp.OccupancyInfo()
 			pd := PipeDegraded{Pipe: i, Degraded: dp.Degraded(), Entries: entries, Capacity: capacity}
 			st.Pipes = append(st.Pipes, pd)
@@ -565,48 +535,20 @@ func (s *Switch) Trace(t FiveTuple) (*Flow, error) {
 	return s.rec.Arm(t), nil
 }
 
-// inspect runs fn against pipe i's data and control plane under that
-// pipe's lock — the shared plumbing for the debug endpoints' table dumps.
-func (s *Switch) inspect(i int, fn func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane)) {
-	if s.multi != nil {
-		s.multi.Inspect(i, fn)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(s.dp, s.cp)
-}
-
 // Pipes returns the number of forwarding pipelines the switch runs.
-func (s *Switch) Pipes() int {
-	if s.multi != nil {
-		return s.multi.NumPipes()
-	}
-	return 1
-}
+func (s *Switch) Pipes() int { return s.eng.NumPipes() }
 
-// Engine exposes the multi-pipe engine, or nil for a single-pipe switch
+// Engine exposes the pipes engine the switch runs on; it is never nil
 // (advanced use: per-pipe inspection, shard mapping).
-func (s *Switch) Engine() *pipes.Engine { return s.multi }
+func (s *Switch) Engine() *pipes.Engine { return s.eng }
 
-// Dataplane exposes the underlying data plane (advanced use: resource
-// reports, direct table inspection). On a multi-pipe switch it returns the
-// first pipe's data plane; use Engine for the others.
-func (s *Switch) Dataplane() *dataplane.Switch {
-	if s.multi != nil {
-		return s.multi.Dataplane(0)
-	}
-	return s.dp
-}
+// Dataplane exposes the first pipe's data plane (advanced use: resource
+// reports, direct table inspection); use Engine for the others.
+func (s *Switch) Dataplane() *dataplane.Switch { return s.eng.Dataplane(0) }
 
-// Controlplane exposes the underlying switch software. On a multi-pipe
-// switch it returns the first pipe's slice; use Engine for the others.
-func (s *Switch) Controlplane() *ctrlplane.ControlPlane {
-	if s.multi != nil {
-		return s.multi.Controlplane(0)
-	}
-	return s.cp
-}
+// Controlplane exposes the first pipe's switch software; use Engine for
+// the others.
+func (s *Switch) Controlplane() *ctrlplane.ControlPlane { return s.eng.Controlplane(0) }
 
 // VIPOption configures one VIP at announcement time.
 type VIPOption func(*vipOptions)
@@ -637,13 +579,6 @@ func (s *Switch) AddVIP(now Time, vip VIP, pool []DIP, opts ...VIPOption) error 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.rec.EditAdd(now, vip, pool, o.meterBytesPerSec)
-}
-
-// AddVIPMetered announces a VIP with a committed-rate meter.
-//
-// Deprecated: use AddVIP with WithMeter instead.
-func (s *Switch) AddVIPMetered(now Time, vip VIP, pool []DIP, meterBytesPerSec float64) error {
-	return s.AddVIP(now, vip, pool, WithMeter(meterBytesPerSec))
 }
 
 // RemoveVIP withdraws a VIP.
@@ -704,28 +639,14 @@ func (s *Switch) UpdatePool(now Time, vip VIP, pool []DIP) error {
 }
 
 // CurrentPool returns the pool new connections map to.
-func (s *Switch) CurrentPool(vip VIP) ([]DIP, error) {
-	if s.multi != nil {
-		return s.multi.CurrentPool(vip)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.CurrentPool(vip)
-}
+func (s *Switch) CurrentPool(vip VIP) ([]DIP, error) { return s.eng.CurrentPool(vip) }
 
 // Process runs one decoded packet through the switch: background CPU work
 // due by now executes first, then the ASIC pipeline, then any CPU
-// arbitration the pipeline requested (redirected SYNs). On a multi-pipe
-// switch the packet is routed to its connection's pipe.
+// arbitration the pipeline requested (redirected SYNs). The packet is
+// routed to its connection's pipe.
 func (s *Switch) Process(now Time, pkt *Packet) Result {
-	var res Result
-	if s.multi != nil {
-		res = s.multi.Process(now, pkt)
-	} else {
-		s.mu.Lock()
-		res = s.process(now, pkt)
-		s.mu.Unlock()
-	}
+	res := s.eng.Process(now, pkt)
 	if resultSchedulesWork(res) {
 		s.poke()
 	}
@@ -746,14 +667,7 @@ func resultSchedulesWork(res Result) bool {
 // offsets are everything TX needs for an in-place rewrite or encap with
 // zero re-decode.
 func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
-	var res Result
-	if s.multi != nil {
-		res = s.multi.ProcessFrame(now, f)
-	} else {
-		s.mu.Lock()
-		res = s.processFrame(now, f)
-		s.mu.Unlock()
-	}
+	res := s.eng.ProcessFrame(now, f)
 	if resultSchedulesWork(res) {
 		s.poke()
 	}
@@ -763,20 +677,10 @@ func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
 // ProcessBatch runs a batch of decoded packets through the switch and
 // returns one Result per packet, in input order. On a multi-pipe switch
 // the batch is sharded by connection onto the engine's persistent per-pipe
-// workers; on a single-pipe switch the batch is processed in order under
-// one lock acquisition.
+// workers; on a one-pipe switch the batch is processed in order under one
+// lock acquisition.
 func (s *Switch) ProcessBatch(now Time, pkts []*Packet) []Result {
-	var results []Result
-	if s.multi != nil {
-		results = s.multi.ProcessBatch(now, pkts)
-	} else {
-		results = make([]Result, len(pkts))
-		s.mu.Lock()
-		for i, pkt := range pkts {
-			results[i] = s.process(now, pkt)
-		}
-		s.mu.Unlock()
-	}
+	results := s.eng.ProcessBatch(now, pkts)
 	// One poke covers the whole batch, even when several pipes queued new
 	// deadlines: the engine returns only after every pipe's share has
 	// completed, so all that work is already scheduled when the scan below
@@ -808,15 +712,7 @@ func (s *Switch) ProcessFrames(now Time, frames []Frame) []Result {
 // the socket RX loop uses, reusing frame and result buffers across
 // batches. results[i] corresponds to frames[i].
 func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
-	if s.multi != nil {
-		s.multi.ProcessFramesInto(now, frames, results)
-	} else {
-		s.mu.Lock()
-		for i := range frames {
-			results[i] = s.processFrame(now, &frames[i])
-		}
-		s.mu.Unlock()
-	}
+	s.eng.ProcessFramesInto(now, frames, results)
 	// Same single-poke logic as ProcessBatch: all new deadlines are already
 	// scheduled by the time the engine returns, so one wake-up suffices.
 	for i := range frames {
@@ -827,30 +723,15 @@ func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
 	}
 }
 
-// Close releases the switch's background machinery: on a multi-pipe
-// switch it stops the engine's per-pipe batch workers and waits for them
-// to exit (ProcessBatch keeps working afterwards — batches then run on
-// the caller's goroutine). It does not stop an active Run; cancel that
-// context first. Close is idempotent and safe to call concurrently with
-// the packet path.
+// Close releases the switch's background machinery: it stops the engine's
+// per-pipe batch workers, if a multi-pipe switch started any, and waits
+// for them to exit (ProcessBatch keeps working afterwards — batches then
+// run on the caller's goroutine). A one-pipe switch has no workers. Close
+// does not stop an active Run; cancel that context first. Close is
+// idempotent and safe to call concurrently with the packet path.
 func (s *Switch) Close() error {
-	if s.multi != nil {
-		s.multi.Close()
-	}
+	s.eng.Close()
 	return nil
-}
-
-func (s *Switch) process(now Time, pkt *Packet) Result {
-	s.cp.Advance(now)
-	res := s.dp.Process(now, pkt)
-	return s.cp.HandleResult(now, pkt, res)
-}
-
-func (s *Switch) processFrame(now Time, f *Frame) Result {
-	s.cp.Advance(now)
-	res := s.dp.ProcessFrame(now, f)
-	s.cp.HandleTupleResultInto(now, f.Tuple, &res)
-	return res
 }
 
 // verdictError maps a non-forwarding verdict to its wrapped sentinel, so
@@ -914,36 +795,15 @@ func (s *Switch) ForwardIPIP(now Time, raw []byte, selfAddr netip.Addr) ([]byte,
 // ConnTable entry and possibly retiring a pool version.
 func (s *Switch) EndConnection(now Time, t FiveTuple) {
 	defer s.poke()
-	if s.multi != nil {
-		s.multi.EndConnection(now, t)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cp.EndConnection(now, t)
+	s.eng.EndConnection(now, t)
 }
 
 // Advance runs background work (learning-filter drains, CPU insertions,
 // update state transitions, aging) due at or before now.
-func (s *Switch) Advance(now Time) {
-	if s.multi != nil {
-		s.multi.Advance(now)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cp.Advance(now)
-}
+func (s *Switch) Advance(now Time) { s.eng.Advance(now) }
 
 // NextEventTime returns when the switch next has background work due.
-func (s *Switch) NextEventTime() (Time, bool) {
-	if s.multi != nil {
-		return s.multi.NextEventTime()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.NextEventTime()
-}
+func (s *Switch) NextEventTime() (Time, bool) { return s.eng.NextEventTime() }
 
 // lockedManager adapts the switch's locked facade as a health.PoolManager.
 type lockedManager struct{ s *Switch }
@@ -956,44 +816,18 @@ func (m lockedManager) RemoveDIP(now Time, vip VIP, dip DIP) error {
 	return m.s.RemoveDIP(now, vip, dip)
 }
 
-// Stats returns combined counters. On a multi-pipe switch every field is
-// the chip-level aggregate over the pipes (sums; MaxInsertQueue is the
-// per-pipe maximum).
+// Stats returns combined counters. Every field is the chip-level aggregate
+// over the pipes (sums; MaxInsertQueue is the per-pipe maximum).
 func (s *Switch) Stats() Stats {
-	if s.multi != nil {
-		agg := s.multi.Stats()
-		return Stats{
-			Dataplane:    agg.Dataplane,
-			Controlplane: agg.Controlplane,
-			Connections:  agg.Connections,
-			MemoryBytes:  agg.MemoryBytes,
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	agg := s.eng.Stats()
 	return Stats{
-		Dataplane:    s.dp.Stats(),
-		Controlplane: s.cp.Metrics(),
-		Connections:  s.cp.TrackedConns(),
-		MemoryBytes:  s.dp.Memory().Total(),
+		Dataplane:    agg.Dataplane,
+		Controlplane: agg.Controlplane,
+		Connections:  agg.Connections,
+		MemoryBytes:  agg.MemoryBytes,
 	}
 }
 
-// PerPipe returns each pipe's individual counters in pipe order. A
-// single-pipe switch reports one entry, so callers inspect per-pipe state
-// the same way regardless of the pipe count (no Engine() != nil branch).
-func (s *Switch) PerPipe() []PipeStats {
-	if s.multi != nil {
-		return s.multi.PerPipe()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return []PipeStats{{
-		Pipe:         0,
-		Dataplane:    s.dp.Stats(),
-		Controlplane: s.cp.Metrics(),
-		Connections:  s.cp.TrackedConns(),
-		MemoryBytes:  s.dp.Memory().Total(),
-		Packets:      s.dp.Stats().Packets,
-	}}
-}
+// PerPipe returns each pipe's individual counters in pipe order; a
+// one-pipe switch reports one entry.
+func (s *Switch) PerPipe() []PipeStats { return s.eng.PerPipe() }

@@ -67,42 +67,37 @@ func TestForwardSentinelErrors(t *testing.T) {
 }
 
 // TestAddVIPWithMeter checks the options form of AddVIP configures the
-// meter the way the deprecated AddVIPMetered did.
+// meter.
 func TestAddVIPWithMeter(t *testing.T) {
-	for _, useOption := range []bool{true, false} {
-		sw, err := NewSwitch(Defaults(1000))
-		if err != nil {
-			t.Fatal(err)
+	sw, err := NewSwitch(Defaults(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vip := NewVIP("20.0.0.9", 80, TCP)
+	if err := sw.AddVIP(0, vip, Pool("10.0.0.1:20"), WithMeter(1000)); err != nil {
+		t.Fatal(err)
+	}
+	pkt := clientPkt(1, 0)
+	pkt.Tuple.Dst = vip.Addr
+	pkt.Payload = make([]byte, 900)
+	drops := 0
+	for i := 0; i < 50; i++ {
+		raw, _ := pkt.Marshal(nil)
+		if _, err := sw.Forward(0, raw); err != nil {
+			drops++
 		}
-		vip := NewVIP("20.0.0.9", 80, TCP)
-		if useOption {
-			err = sw.AddVIP(0, vip, Pool("10.0.0.1:20"), WithMeter(1000))
-		} else {
-			err = sw.AddVIPMetered(0, vip, Pool("10.0.0.1:20"), 1000)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkt := clientPkt(1, 0)
-		pkt.Tuple.Dst = vip.Addr
-		pkt.Payload = make([]byte, 900)
-		drops := 0
-		for i := 0; i < 50; i++ {
-			raw, _ := pkt.Marshal(nil)
-			if _, err := sw.Forward(0, raw); err != nil {
-				drops++
-			}
-		}
-		if drops < 40 {
-			t.Fatalf("option=%v: meter dropped %d of 50 burst packets", useOption, drops)
-		}
+	}
+	if drops < 40 {
+		t.Fatalf("meter dropped %d of 50 burst packets", drops)
 	}
 }
 
 // TestPerPipeSymmetric checks the per-pipe breakdown has the same shape on
-// single- and multi-pipe switches, so callers need not branch on Engine().
+// single- and multi-pipe switches, so callers need not branch on the pipe
+// count, and that per-pipe packet counts add up to the aggregate even when
+// packets reach a pipe's data plane directly, bypassing the facade.
 func TestPerPipeSymmetric(t *testing.T) {
-	for _, pipes := range []int{1, 4} {
+	for _, pipes := range []int{1, 2, 4} {
 		sw := newMultiSwitch(t, pipes)
 		var pkts []*Packet
 		for i := 0; i < 300; i++ {
@@ -110,6 +105,21 @@ func TestPerPipeSymmetric(t *testing.T) {
 		}
 		sw.ProcessBatch(0, pkts)
 		sw.Advance(Time(Second))
+		for i := 0; i < 50; i++ {
+			raw, err := clientPkt(i, netproto.FlagACK).Marshal(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var f Frame
+			if err := ParseFrame(raw, &f); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				sw.ProcessFrame(Time(Second), &f)
+			} else {
+				sw.Dataplane().ProcessFrame(Time(Second), &f)
+			}
+		}
 
 		pp := sw.PerPipe()
 		if len(pp) != pipes {
