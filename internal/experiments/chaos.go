@@ -10,7 +10,6 @@ package experiments
 // reproduce the report byte for byte.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/ctrlplane"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/netproto"
 	"repro/internal/pipes"
 	"repro/internal/simtime"
-	"repro/internal/telemetry"
 )
 
 // Soak shape, in ticks of chaosTick virtual time. Flows start at a steady
@@ -75,41 +73,7 @@ type ChaosReport struct {
 	FaultsRemaining   int  `json:"faults_remaining"`
 	DegradedAtEnd     bool `json:"degraded_at_end"`
 
-	// Violations lists every failed invariant in a fixed order;
-	// InvariantsOK is its emptiness.
-	Violations   []string `json:"invariant_violations"`
-	InvariantsOK bool     `json:"invariants_ok"`
-}
-
-// engineTarget adapts the multi-pipe engine to the fault injector's
-// Target: CPU faults hit a pipe's control plane, table and digest faults
-// its data plane, all under the pipe lock via Inspect.
-type engineTarget struct{ eng *pipes.Engine }
-
-func (t engineTarget) NumPipes() int { return t.eng.NumPipes() }
-
-func (t engineTarget) StallCPU(now simtime.Time, pipe int, d simtime.Duration) {
-	t.eng.Inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-		cp.StallCPU(now, d)
-	})
-}
-
-func (t engineTarget) SetInsertRateScale(pipe int, scale float64) {
-	t.eng.Inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-		cp.SetInsertRateScale(scale)
-	})
-}
-
-func (t engineTarget) SetConnTableLimit(pipe int, limit int) {
-	t.eng.Inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		dp.SetConnTableLimit(limit)
-	})
-}
-
-func (t engineTarget) SetLearnLoss(pipe int, rate float64, seed uint64) {
-	t.eng.Inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		dp.LearnFilter().SetLoss(rate, seed)
-	})
+	soakVerdict
 }
 
 // chaosFlow tracks one connection two ways. The PCC ground truth is the
@@ -142,13 +106,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 	ccfg := ctrlplane.DefaultConfig()
 	ccfg.MaxInsertQueue = chaosQueueMax
 	ccfg.MaxInsertRetries = 3
-	pcfg := pipes.Config{Pipes: 2, Dataplane: dcfg, Controlplane: ccfg}
-	var reg *telemetry.Registry
-	if CollectTelemetry {
-		reg = telemetry.NewRegistry()
-		pcfg.Tracer = reg
-	}
-	eng, err := pipes.New(pcfg)
+	eng, err := pipes.New(pipes.Config{Pipes: 2, Dataplane: dcfg, Controlplane: ccfg})
 	if err != nil {
 		return nil, err
 	}
@@ -206,10 +164,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 			Duration: ms(10), Scale: 0.3,
 		},
 	)
-	inj := faults.NewInjector(plan, engineTarget{eng})
-	if reg != nil {
-		inj.SetTracer(reg)
-	}
+	inj := faults.NewInjector(plan, eng)
 
 	// BFD-style health checking rides the injected DIP outages: 5 ms
 	// probes with a fail threshold of 3 detect a 30 ms outage mid-way and
@@ -384,8 +339,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 		})
 	}
 
-	rep.Violations = chaosInvariants(rep)
-	rep.InvariantsOK = len(rep.Violations) == 0
+	rep.setViolations(chaosInvariants(rep))
 	return rep, nil
 }
 
@@ -440,55 +394,19 @@ func chaosInvariants(r *ChaosReport) []string {
 	return v
 }
 
-// Chaos is the registered experiment: it runs the soak twice with the
-// same seed, insists the two reports are byte-identical, and emits the
-// first as CHAOS_soak.json.
+// Chaos is the registered experiment: the soak run twice through
+// runSoak, emitted as CHAOS_soak.json.
 func Chaos(scale float64, seed int64) (*Report, error) {
-	r1, err := RunChaosSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b1, err := json.MarshalIndent(r1, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	r2, err := RunChaosSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	b1c, _ := json.Marshal(r1)
-	deterministic := string(b1c) == string(b2)
-
-	rep := &Report{ID: "chaos", Title: "Chaos soak: fault injection under churn, degradation invariants"}
-	rep.Printf("flows %d (established %d)  packets %d (forwarded %d)",
-		r1.FlowsStarted, r1.FlowsEstablished, r1.Packets, r1.Forwarded)
-	rep.Printf("faults injected %d %v  failovers %d recoveries %d",
-		r1.FaultsInjected, r1.FaultsByKind, r1.Failovers, r1.Recoveries)
-	rep.Printf("degraded: packets %d, transitions %d, forwarded-while-degraded %d",
-		r1.DegradedPackets, r1.DegradedTransitions, r1.ForwardedWhileDegraded)
-	rep.Printf("pressure: retries %d sheds %d overflows %d queue-peak %d/%d digests-lost %d",
-		r1.InsertRetries, r1.InsertSheds, r1.Overflows, r1.MaxInsertQueue, r1.QueueBound, r1.DigestsLost)
-	rep.Printf("PCC violations %d  digest-FP misforwarded flows %d", r1.PCCViolations, r1.MisforwardedFlows)
-	if r1.InvariantsOK {
-		rep.Printf("invariants: all hold")
-	} else {
-		for _, s := range r1.Violations {
-			rep.Printf("INVARIANT VIOLATED: %s", s)
-		}
-	}
-	if deterministic {
-		rep.Printf("determinism: second run with seed %d reproduced the report byte for byte", seed)
-	} else {
-		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
-	}
-	if !r1.InvariantsOK || !deterministic {
-		return nil, fmt.Errorf("chaos soak failed: %v (deterministic=%v)", r1.Violations, deterministic)
-	}
-	rep.ArtifactName = "CHAOS_soak.json"
-	rep.Artifact = append(b1, '\n')
-	return rep, nil
+	return runSoak("chaos", "Chaos soak: fault injection under churn, degradation invariants",
+		"CHAOS_soak.json", scale, seed, RunChaosSoak, func(rep *Report, r *ChaosReport) {
+			rep.Printf("flows %d (established %d)  packets %d (forwarded %d)",
+				r.FlowsStarted, r.FlowsEstablished, r.Packets, r.Forwarded)
+			rep.Printf("faults injected %d %v  failovers %d recoveries %d",
+				r.FaultsInjected, r.FaultsByKind, r.Failovers, r.Recoveries)
+			rep.Printf("degraded: packets %d, transitions %d, forwarded-while-degraded %d",
+				r.DegradedPackets, r.DegradedTransitions, r.ForwardedWhileDegraded)
+			rep.Printf("pressure: retries %d sheds %d overflows %d queue-peak %d/%d digests-lost %d",
+				r.InsertRetries, r.InsertSheds, r.Overflows, r.MaxInsertQueue, r.QueueBound, r.DigestsLost)
+			rep.Printf("PCC violations %d  digest-FP misforwarded flows %d", r.PCCViolations, r.MisforwardedFlows)
+		})
 }

@@ -1,64 +1,19 @@
 package experiments
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestChaosSoak is the chaos soak as a regression gate (CI runs it under
 // -race): a fixed seed, every robustness invariant, and byte-identical
 // reports across two runs.
 func TestChaosSoak(t *testing.T) {
-	const scale, seed = 1.0, 42
-
-	r1, err := RunChaosSoak(scale, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range r1.Violations {
-		t.Errorf("invariant violated: %s", v)
-	}
-	if !r1.InvariantsOK {
-		t.Fatalf("report: %+v", r1)
-	}
+	r := checkSoak(t, "chaos", RunChaosSoak)
 
 	// Sanity beyond the report's own checks: the soak actually loaded the
 	// switch hard enough for the invariants to mean something.
-	if r1.FlowsEstablished < r1.Capacity/2 {
-		t.Errorf("established only %d flows against capacity %d", r1.FlowsEstablished, r1.Capacity)
+	if r.FlowsEstablished < r.Capacity/2 {
+		t.Errorf("established only %d flows against capacity %d", r.FlowsEstablished, r.Capacity)
 	}
-	if r1.FaultsInjected == 0 {
+	if r.FaultsInjected == 0 {
 		t.Error("no faults injected")
-	}
-
-	r2, err := RunChaosSoak(scale, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := json.Marshal(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("same seed, different reports:\n%s\n%s", b1, b2)
-	}
-
-	// A different seed must yield a different fault schedule — the soak is
-	// seeded, not hard-coded.
-	r3, err := RunChaosSoak(scale, seed+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3, err := json.Marshal(r3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(b1, b3) {
-		t.Error("seed change did not change the report")
 	}
 }

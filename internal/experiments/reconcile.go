@@ -12,7 +12,6 @@ package experiments
 // RECONCILE_soak.json; the same seed must reproduce it byte for byte.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 
@@ -83,22 +82,7 @@ type ReconcileReport struct {
 	PoolMismatches   int    `json:"final_pool_mismatches"`
 	IdempotentWrites uint64 `json:"idempotent_reapply_writes"`
 
-	Violations   []string `json:"invariant_violations"`
-	InvariantsOK bool     `json:"invariants_ok"`
-}
-
-// recTracer counts reconcile events by step on top of an inner tracer
-// (NopTracer, or the registry under --metrics).
-type recTracer struct {
-	telemetry.Tracer
-	counts *[8]uint64
-}
-
-func (t recTracer) OnReconcile(e telemetry.ReconcileEvent) {
-	if int(e.Step) < len(t.counts) {
-		t.counts[e.Step]++
-	}
-	t.Tracer.OnReconcile(e)
+	soakVerdict
 }
 
 // clusterFaultTarget adapts the deployment to the fault injector: "pipe"
@@ -178,19 +162,13 @@ func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
 		return nil, err
 	}
 
-	counts := new([8]uint64)
-	var inner telemetry.Tracer = telemetry.NopTracer{}
-	var reg *telemetry.Registry
-	if CollectTelemetry {
-		reg = telemetry.NewRegistry()
-		inner = reg
-	}
+	reg := telemetry.NewRegistry()
 	rc := intent.NewCluster(clu.Fleet(), intent.FleetConfig{
 		Config: intent.Config{
 			BaseBackoff: 200 * simtime.Microsecond,
 			MaxBackoff:  2 * simtime.Millisecond,
 			MaxRetries:  3,
-			Tracer:      recTracer{Tracer: inner, counts: counts},
+			Tracer:      reg,
 		},
 		RolloutBackoff: simtime.Millisecond,
 	})
@@ -223,9 +201,6 @@ func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
 		DigestLossWindows: 1, DigestLossRate: 0.2, DigestLossFor: ms(10),
 	})
 	inj := faults.NewInjector(plan, clusterFaultTarget{clu})
-	if reg != nil {
-		inj.SetTracer(reg)
-	}
 
 	tickTime := func(t int) simtime.Time { return simtime.Time(int64(t) * int64(recTick)) }
 	var flows []recFlow
@@ -387,13 +362,14 @@ func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
 	rep.IdempotentWrites -= writesBefore
 	rep.Writes = writesBefore + rep.IdempotentWrites
 
-	rep.Rounds = counts[telemetry.ReconcileRound]
-	rep.Applies = counts[telemetry.ReconcileApply]
-	rep.Noops = counts[telemetry.ReconcileNoop]
-	rep.Retries = counts[telemetry.ReconcileRetry]
-	rep.Rollbacks = counts[telemetry.ReconcileRollback]
-	rep.Errors = counts[telemetry.ReconcileError]
-	rep.DriftDetected = counts[telemetry.ReconcileDrift]
+	count := func(name string) uint64 { return reg.Counter(name).Load() }
+	rep.Rounds = count(telemetry.MetricReconcileRounds)
+	rep.Applies = count(telemetry.MetricReconcileApplies)
+	rep.Noops = count(telemetry.MetricReconcileNoops)
+	rep.Retries = count(telemetry.MetricReconcileRetries)
+	rep.Rollbacks = count(telemetry.MetricReconcileRollbacks)
+	rep.Errors = count(telemetry.MetricReconcileErrors)
+	rep.DriftDetected = count(telemetry.MetricReconcileDrift)
 	im := inj.Metrics()
 	rep.FaultsInjected = im.Injected
 	rep.FaultsByKind = make(map[string]uint64, len(im.ByKind))
@@ -403,8 +379,7 @@ func RunReconcileSoak(scale float64, seed int64) (*ReconcileReport, error) {
 	rep.FaultsRemaining = inj.Remaining()
 	rep.BucketsRedirected = clu.Redirected
 
-	rep.Violations = reconcileInvariants(rep)
-	rep.InvariantsOK = len(rep.Violations) == 0
+	rep.setViolations(reconcileInvariants(rep))
 	return rep, nil
 }
 
@@ -459,54 +434,18 @@ func reconcileInvariants(r *ReconcileReport) []string {
 	return v
 }
 
-// Reconcile is the registered experiment: two runs with the same seed must
-// produce byte-identical reports; the first is emitted as
-// RECONCILE_soak.json.
+// Reconcile is the registered experiment: the soak run twice through
+// runSoak, emitted as RECONCILE_soak.json.
 func Reconcile(scale float64, seed int64) (*Report, error) {
-	r1, err := RunReconcileSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b1, err := json.MarshalIndent(r1, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("reconcile: %w", err)
-	}
-	r2, err := RunReconcileSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		return nil, fmt.Errorf("reconcile: %w", err)
-	}
-	b1c, _ := json.Marshal(r1)
-	deterministic := string(b1c) == string(b2)
-
-	rep := &Report{ID: "reconcile", Title: "Reconcile soak: declarative spec churn, rolling updates, rollback"}
-	rep.Printf("generations %d  reconcile rounds %d  writes %d (applies %d, noops %d)",
-		r1.FinalGeneration, r1.Rounds, r1.Writes, r1.Applies, r1.Noops)
-	rep.Printf("faults: injected %d %v  retries %d  rollbacks %d  errors %d  drift %d",
-		r1.FaultsInjected, r1.FaultsByKind, r1.Retries, r1.Rollbacks, r1.Errors, r1.DriftDetected)
-	rep.Printf("flows %d (established %d)  packets %d (forwarded %d)  redirected flows %d",
-		r1.FlowsStarted, r1.FlowsEstablished, r1.Packets, r1.Forwarded, r1.RedirectedFlows)
-	rep.Printf("PCC violations %d  converged in %d rounds  idempotent re-apply writes %d",
-		r1.PCCViolations, r1.RoundsToConverge, r1.IdempotentWrites)
-	if r1.InvariantsOK {
-		rep.Printf("invariants: all hold")
-	} else {
-		for _, s := range r1.Violations {
-			rep.Printf("INVARIANT VIOLATED: %s", s)
-		}
-	}
-	if deterministic {
-		rep.Printf("determinism: second run with seed %d reproduced the report byte for byte", seed)
-	} else {
-		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
-	}
-	if !r1.InvariantsOK || !deterministic {
-		return nil, fmt.Errorf("reconcile soak failed: %v (deterministic=%v)", r1.Violations, deterministic)
-	}
-	rep.ArtifactName = "RECONCILE_soak.json"
-	rep.Artifact = append(b1, '\n')
-	return rep, nil
+	return runSoak("reconcile", "Reconcile soak: declarative spec churn, rolling updates, rollback",
+		"RECONCILE_soak.json", scale, seed, RunReconcileSoak, func(rep *Report, r *ReconcileReport) {
+			rep.Printf("generations %d  reconcile rounds %d  writes %d (applies %d, noops %d)",
+				r.FinalGeneration, r.Rounds, r.Writes, r.Applies, r.Noops)
+			rep.Printf("faults: injected %d %v  retries %d  rollbacks %d  errors %d  drift %d",
+				r.FaultsInjected, r.FaultsByKind, r.Retries, r.Rollbacks, r.Errors, r.DriftDetected)
+			rep.Printf("flows %d (established %d)  packets %d (forwarded %d)  redirected flows %d",
+				r.FlowsStarted, r.FlowsEstablished, r.Packets, r.Forwarded, r.RedirectedFlows)
+			rep.Printf("PCC violations %d  converged in %d rounds  idempotent re-apply writes %d",
+				r.PCCViolations, r.RoundsToConverge, r.IdempotentWrites)
+		})
 }

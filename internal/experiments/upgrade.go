@@ -13,7 +13,6 @@ package experiments
 // for byte.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 
@@ -81,8 +80,7 @@ type UpgradeReport struct {
 
 	PCCViolations int `json:"pcc_violations"`
 
-	Violations   []string `json:"invariant_violations"`
-	InvariantsOK bool     `json:"invariants_ok"`
+	soakVerdict
 }
 
 // upCounts accumulates handoff telemetry for the report.
@@ -90,8 +88,8 @@ type upCounts struct {
 	transfers, imported, chunks, deltas, retries, cancels uint64
 }
 
-// upTracer counts handoff events on top of an inner tracer (NopTracer, or
-// the registry under --metrics).
+// upTracer counts handoff events. The telemetry registry has no
+// handoff-cancel counter, so the soak keeps its own tally.
 type upTracer struct {
 	telemetry.Tracer
 	c *upCounts
@@ -142,11 +140,7 @@ func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
 		connTarget = 1024
 	}
 	counts := &upCounts{}
-	var inner telemetry.Tracer = telemetry.NopTracer{}
-	if CollectTelemetry {
-		inner = telemetry.NewRegistry()
-	}
-	tracer := upTracer{Tracer: inner, c: counts}
+	tracer := upTracer{Tracer: telemetry.NopTracer{}, c: counts}
 
 	ccfg := cluster.DefaultConfig(upMembers, connTarget)
 	ccfg.Dataplane.Seed = uint64(seed)
@@ -312,8 +306,7 @@ func RunUpgradeSoak(scale float64, seed int64) (*UpgradeReport, error) {
 	rep.HandoffRetries = counts.retries
 	rep.HandoffCancels = counts.cancels
 
-	rep.Violations = upgradeInvariants(rep)
-	rep.InvariantsOK = len(rep.Violations) == 0
+	rep.setViolations(upgradeInvariants(rep))
 	return rep, nil
 }
 
@@ -361,55 +354,19 @@ func upgradeInvariants(r *UpgradeReport) []string {
 	return v
 }
 
-// Upgrade is the registered experiment: two runs with the same seed must
-// produce byte-identical reports; the first is emitted as
-// UPGRADE_soak.json.
+// Upgrade is the registered experiment: the soak run twice through
+// runSoak, emitted as UPGRADE_soak.json.
 func Upgrade(scale float64, seed int64) (*Report, error) {
-	r1, err := RunUpgradeSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b1, err := json.MarshalIndent(r1, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("upgrade: %w", err)
-	}
-	r2, err := RunUpgradeSoak(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		return nil, fmt.Errorf("upgrade: %w", err)
-	}
-	b1c, _ := json.Marshal(r1)
-	deterministic := string(b1c) == string(b2)
-
-	rep := &Report{ID: "upgrade", Title: "Rolling-upgrade soak: warm handoff, zero dropped flows"}
-	rep.Printf("rollout: %d members, done=%v in %d ticks  rollbacks %d  phases %v",
-		r1.Members, r1.RolloutDone, r1.RolloutTicks, r1.Rollbacks, r1.FinalPhases)
-	rep.Printf("handoff: %d transfers  %d entries imported (%d chunks, %d delta replays, %d retries, %d cancels)  %d buckets moved warm",
-		r1.HandoffTransfers, r1.HandoffImported, r1.HandoffChunks, r1.HandoffDeltas,
-		r1.HandoffRetries, r1.HandoffCancels, r1.BucketsMigrated)
-	rep.Printf("flows %d (established %d, mid-update %d, moved members %d)  packets %d (forwarded %d)  pool updates %d",
-		r1.FlowsStarted, r1.FlowsEstablished, r1.MidUpdateEstablished, r1.MovedFlows,
-		r1.Packets, r1.Forwarded, r1.PoolUpdates)
-	rep.Printf("PCC violations %d  established-flow drops %d", r1.PCCViolations, r1.Drops)
-	if r1.InvariantsOK {
-		rep.Printf("invariants: all hold")
-	} else {
-		for _, s := range r1.Violations {
-			rep.Printf("INVARIANT VIOLATED: %s", s)
-		}
-	}
-	if deterministic {
-		rep.Printf("determinism: second run with seed %d reproduced the report byte for byte", seed)
-	} else {
-		rep.Printf("DETERMINISM VIOLATED: same seed produced a different report")
-	}
-	if !r1.InvariantsOK || !deterministic {
-		return nil, fmt.Errorf("upgrade soak failed: %v (deterministic=%v)", r1.Violations, deterministic)
-	}
-	rep.ArtifactName = "UPGRADE_soak.json"
-	rep.Artifact = append(b1, '\n')
-	return rep, nil
+	return runSoak("upgrade", "Rolling-upgrade soak: warm handoff, zero dropped flows",
+		"UPGRADE_soak.json", scale, seed, RunUpgradeSoak, func(rep *Report, r *UpgradeReport) {
+			rep.Printf("rollout: %d members, done=%v in %d ticks  rollbacks %d  phases %v",
+				r.Members, r.RolloutDone, r.RolloutTicks, r.Rollbacks, r.FinalPhases)
+			rep.Printf("handoff: %d transfers  %d entries imported (%d chunks, %d delta replays, %d retries, %d cancels)  %d buckets moved warm",
+				r.HandoffTransfers, r.HandoffImported, r.HandoffChunks, r.HandoffDeltas,
+				r.HandoffRetries, r.HandoffCancels, r.BucketsMigrated)
+			rep.Printf("flows %d (established %d, mid-update %d, moved members %d)  packets %d (forwarded %d)  pool updates %d",
+				r.FlowsStarted, r.FlowsEstablished, r.MidUpdateEstablished, r.MovedFlows,
+				r.Packets, r.Forwarded, r.PoolUpdates)
+			rep.Printf("PCC violations %d  established-flow drops %d", r.PCCViolations, r.Drops)
+		})
 }

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestUpgradeSoak is the rolling-upgrade soak as a regression gate (CI
 // runs it under -race): a fixed seed, every rollout invariant — zero PCC
@@ -12,59 +8,18 @@ import (
 // mid-update on the drained member), zero established-flow drops, every
 // member rolled — and byte-identical reports across two runs.
 func TestUpgradeSoak(t *testing.T) {
-	const scale, seed = 1.0, 42
-
-	r1, err := RunUpgradeSoak(scale, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range r1.Violations {
-		t.Errorf("invariant violated: %s", v)
-	}
-	if !r1.InvariantsOK {
-		t.Fatalf("report: %+v", r1)
-	}
+	r := checkSoak(t, "upgrade", RunUpgradeSoak)
 
 	// Sanity beyond the report's own checks: the soak exercised what it
 	// claims to.
-	if r1.FlowsEstablished < r1.FlowsStarted/4 {
-		t.Errorf("established only %d of %d flows", r1.FlowsEstablished, r1.FlowsStarted)
+	if r.FlowsEstablished < r.FlowsStarted/4 {
+		t.Errorf("established only %d of %d flows", r.FlowsEstablished, r.FlowsStarted)
 	}
-	if r1.HandoffDeltas == 0 {
+	if r.HandoffDeltas == 0 {
 		t.Error("no delta was ever replayed: the donor paused or traffic missed the transfer window")
 	}
-	if r1.MovedFlows < r1.FlowsEstablished/10 {
+	if r.MovedFlows < r.FlowsEstablished/10 {
 		t.Errorf("only %d of %d established flows were ever served by a second member",
-			r1.MovedFlows, r1.FlowsEstablished)
-	}
-
-	r2, err := RunUpgradeSoak(scale, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := json.Marshal(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("same seed, different reports:\n%s\n%s", b1, b2)
-	}
-
-	// A different seed must yield a different run — the soak is seeded,
-	// not hard-coded.
-	r3, err := RunUpgradeSoak(scale, seed+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3, err := json.Marshal(r3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(b1, b3) {
-		t.Error("seed change did not change the report")
+			r.MovedFlows, r.FlowsEstablished)
 	}
 }

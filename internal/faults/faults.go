@@ -6,12 +6,13 @@
 //
 // A Plan is data: a seed plus a time-ordered list of Events. Generate
 // builds one from a seeded RNG, so the same GenConfig always yields the
-// same schedule. An Injector executes a Plan against a Target (the
-// facade's multi-pipe switch) as a sched.Source: each fault fires at its
-// virtual-time deadline, interleaved with packets, learn flushes and CPU
-// insertions in strict time order. Runs are therefore reproducible down
-// to the individual fault — the property the chaos soak's
-// identical-report invariant rests on.
+// same schedule. An Injector executes a Plan against a Target (a
+// pipes.Engine, or a cluster whose "pipes" are members) as a
+// sched.Source: each fault fires at its virtual-time deadline,
+// interleaved with packets, learn flushes and CPU insertions in strict
+// time order. Runs are therefore reproducible down to the individual
+// fault — the property the chaos soak's identical-report invariant rests
+// on.
 //
 // The injector deliberately attacks components through the same narrow
 // knobs an operator or a broken environment would: DIP health is faked by
@@ -334,7 +335,8 @@ func (inj *Injector) Advance(now simtime.Time) {
 }
 
 // apply executes one action against the target, fanning Pipe == -1 out
-// to every pipe.
+// to every pipe. A pipe the target lacks gets no call, so a hand-written
+// plan naming one is a counted no-op.
 func (inj *Injector) apply(target Target, seed uint64, a action) {
 	if a.ev.Kind == DIPDown || a.ev.Kind == DIPUp {
 		return // probe-level faults: no target call; WrapProbe does the work
@@ -343,6 +345,7 @@ func (inj *Injector) apply(target Target, seed uint64, a action) {
 	if a.ev.Pipe < 0 {
 		lo, hi = 0, target.NumPipes()
 	}
+	hi = min(hi, target.NumPipes())
 	for p := lo; p < hi; p++ {
 		switch a.ev.Kind {
 		case CPUStall:

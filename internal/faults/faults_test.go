@@ -139,6 +139,23 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 	}
 }
 
+// A plan naming a pipe the target lacks is a counted no-op: the target
+// sees no call, but the action is still applied and counted.
+func TestInjectorIgnoresMissingPipe(t *testing.T) {
+	plan := Plan{Events: []Event{
+		{At: ms(1), Kind: CPUStall, Pipe: 2, Duration: msDur(1)},
+		{At: ms(1), Kind: TableLimit, Pipe: 2, Limit: 10},
+	}}
+	tgt := newFakeTarget(2)
+	inj := NewInjectorAdvanced(plan, tgt, ms(1))
+	if len(tgt.calls) != 0 {
+		t.Fatalf("target calls = %v, want none", tgt.calls)
+	}
+	if m := inj.Metrics(); m.Injected != 2 {
+		t.Fatalf("Injected = %d, want 2", m.Injected)
+	}
+}
+
 func TestWrapProbeTracksDownSet(t *testing.T) {
 	plan := Plan{Events: []Event{
 		{At: ms(10), Kind: DIPDown, DIP: fdip(1), Pipe: -1, Duration: msDur(20)},

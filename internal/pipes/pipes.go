@@ -237,6 +237,31 @@ func (e *Engine) Inspect(i int, fn func(dp *dataplane.Switch, cp *ctrlplane.Cont
 	fn(p.dp, p.cp)
 }
 
+// The four fault knobs below make the Engine a faults.Target: CPU faults
+// hit a pipe's control plane, table and digest faults its data plane, all
+// under the pipe lock.
+
+// StallCPU freezes pipe i's insertion CPU for d starting at now.
+func (e *Engine) StallCPU(now simtime.Time, i int, d simtime.Duration) {
+	e.Inspect(i, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) { cp.StallCPU(now, d) })
+}
+
+// SetInsertRateScale multiplies pipe i's insertion rate.
+func (e *Engine) SetInsertRateScale(i int, scale float64) {
+	e.Inspect(i, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) { cp.SetInsertRateScale(scale) })
+}
+
+// SetConnTableLimit caps pipe i's ConnTable occupancy (0 = uncapped).
+func (e *Engine) SetConnTableLimit(i, limit int) {
+	e.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) { dp.SetConnTableLimit(limit) })
+}
+
+// SetLearnLoss drops new learn digests on pipe i with the given
+// probability from a seed-deterministic stream.
+func (e *Engine) SetLearnLoss(i int, rate float64, seed uint64) {
+	e.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) { dp.LearnFilter().SetLoss(rate, seed) })
+}
+
 // process runs one packet on pipe p. Callers hold p.mu.
 func (p *pipe) process(now simtime.Time, pkt *netproto.Packet) dataplane.Result {
 	p.cp.Advance(now)

@@ -226,3 +226,33 @@ func TestEmptyPoolNoBackendFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultPlanOnPipes runs a Config.Faults plan through the facade: the
+// squeeze on pipe 1 shrinks only pipe 1's ConnTable, and an event naming
+// a pipe the switch lacks is counted but touches nothing.
+func TestFaultPlanOnPipes(t *testing.T) {
+	cfg := Defaults(100000)
+	cfg.Pipes = 2
+	cfg.Faults = &FaultPlan{Events: []FaultEvent{
+		{At: Time(Millisecond), Kind: FaultTableLimit, Pipe: 1, Limit: 100},
+		{At: Time(Millisecond), Kind: FaultTableLimit, Pipe: 5, Limit: 100},
+	}}
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	before := sw.DegradedState().Pipes
+	sw.AdvanceTo(Time(2 * Millisecond))
+	after := sw.DegradedState().Pipes
+
+	if after[0].Capacity != before[0].Capacity {
+		t.Errorf("pipe 0 capacity %d -> %d, want unchanged", before[0].Capacity, after[0].Capacity)
+	}
+	if after[1].Capacity != 100 || before[1].Capacity <= 100 {
+		t.Errorf("pipe 1 capacity %d -> %d, want squeezed to 100", before[1].Capacity, after[1].Capacity)
+	}
+	if m := sw.Faults().Metrics(); m.Injected != 2 {
+		t.Errorf("Injected = %d, want 2", m.Injected)
+	}
+}

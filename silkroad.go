@@ -424,7 +424,7 @@ func (s *Switch) attachFaults(cfg Config, tracer telemetry.Tracer) {
 	if cfg.Faults == nil {
 		return
 	}
-	inj := faults.NewInjector(*cfg.Faults, switchTarget{s})
+	inj := faults.NewInjector(*cfg.Faults, s.eng)
 	if tracer != nil {
 		inj.SetTracer(tracer)
 	}
@@ -432,50 +432,6 @@ func (s *Switch) attachFaults(cfg Config, tracer telemetry.Tracer) {
 	s.rt.mu.Lock()
 	s.rt.sched.AddSource(inj)
 	s.rt.mu.Unlock()
-}
-
-// switchTarget adapts the switch as the injector's attack surface: each
-// knob routes to one pipe's control or data plane under that pipe's lock.
-type switchTarget struct{ s *Switch }
-
-func (t switchTarget) valid(pipe int) bool { return pipe >= 0 && pipe < t.s.Pipes() }
-
-func (t switchTarget) NumPipes() int { return t.s.Pipes() }
-
-func (t switchTarget) StallCPU(now Time, pipe int, d Duration) {
-	if !t.valid(pipe) {
-		return
-	}
-	t.s.eng.Inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-		cp.StallCPU(now, d)
-	})
-}
-
-func (t switchTarget) SetInsertRateScale(pipe int, scale float64) {
-	if !t.valid(pipe) {
-		return
-	}
-	t.s.eng.Inspect(pipe, func(_ *dataplane.Switch, cp *ctrlplane.ControlPlane) {
-		cp.SetInsertRateScale(scale)
-	})
-}
-
-func (t switchTarget) SetConnTableLimit(pipe, limit int) {
-	if !t.valid(pipe) {
-		return
-	}
-	t.s.eng.Inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		dp.SetConnTableLimit(limit)
-	})
-}
-
-func (t switchTarget) SetLearnLoss(pipe int, rate float64, seed uint64) {
-	if !t.valid(pipe) {
-		return
-	}
-	t.s.eng.Inspect(pipe, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) {
-		dp.LearnFilter().SetLoss(rate, seed)
-	})
 }
 
 // Faults returns the attached fault injector, or nil when the switch was
