@@ -15,7 +15,7 @@ import (
 )
 
 // TestLearnedBatchWakesWallDriver parks the wall driver on an idle
-// multi-pipe switch, then submits one SYN batch. ProcessBatch issues at
+// multi-pipe switch, then submits one SYN batch. ProcessFramesInto issues at
 // most one poke for the whole batch; that single poke must be enough for
 // the driver to re-read NextDue across all pipes and drain every pipe's
 // learn flush promptly. If the poke were lost, the driver would sleep out
@@ -46,12 +46,9 @@ func TestLearnedBatchWakesWallDriver(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 
 	const conns = 32
-	pkts := make([]*Packet, conns)
-	for i := range pkts {
-		pkts[i] = clientPkt(i, netproto.FlagSYN)
-	}
+	frames := clientFrames(t, conns, netproto.FlagSYN)
 	start := time.Now()
-	res := sw.ProcessBatch(sw.Now(), pkts)
+	res := processFrames(sw, sw.Now(), frames)
 	learned := false
 	for i := range res {
 		learned = learned || res[i].Learned
@@ -79,21 +76,14 @@ func TestLearnedBatchWakesWallDriver(t *testing.T) {
 // the switch keeps forwarding batches afterwards (inline on the caller).
 func TestCloseStopsWorkers(t *testing.T) {
 	sw := newMultiSwitch(t, 4)
-	pkts := make([]*Packet, 64)
-	for i := range pkts {
-		pkts[i] = clientPkt(i, netproto.FlagSYN)
-	}
-	sw.ProcessBatch(0, pkts)
+	processFrames(sw, 0, clientFrames(t, 64, netproto.FlagSYN))
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	for i := range pkts {
-		pkts[i] = clientPkt(i, netproto.FlagACK)
-	}
-	res := sw.ProcessBatch(Time(Second), pkts)
+	res := processFrames(sw, Time(Second), clientFrames(t, 64, netproto.FlagACK))
 	for i := range res {
 		if res[i].Verdict != dataplane.VerdictForward {
 			t.Fatalf("post-Close packet %d: %v", i, res[i].Verdict)

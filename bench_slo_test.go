@@ -37,33 +37,31 @@ const (
 	sloBenchBatch = 256
 )
 
-// sloBenchPrime opens the established working set and drains insertions.
-func sloBenchPrime(sw *Switch) {
-	batch := make([]*Packet, sloBenchBatch)
+// sloBenchPrime opens the established working set, drains insertions, and
+// returns the working set's ACK frames for the measured region.
+func sloBenchPrime(tb testing.TB, sw *Switch) []Frame {
+	tb.Helper()
+	results := make([]Result, sloBenchBatch)
+	syn := clientFrames(tb, sloBenchConns, netproto.FlagSYN)
 	for base := 0; base < sloBenchConns; base += sloBenchBatch {
-		for j := range batch {
-			batch[j] = clientPkt(base+j, netproto.FlagSYN)
-		}
-		sw.ProcessBatch(0, batch)
+		sw.ProcessFramesInto(0, syn[base:base+sloBenchBatch], results)
 	}
 	sw.Advance(Time(10 * Millisecond))
+	return clientFrames(tb, sloBenchConns, netproto.FlagACK)
 }
 
-// sloBenchMeasure runs established-traffic passes and returns wallclock
-// packets per second. Virtual time steps a microsecond per batch with a
-// per-batch AdvanceTo (the scheduler drives background sources, the SLO
-// evaluator among them), and the cursor threads across repetitions so
+// sloBenchMeasure runs established-traffic passes over ack and returns
+// wallclock packets per second. Virtual time steps a microsecond per batch
+// with a per-batch AdvanceTo (the scheduler drives background sources, the
+// SLO evaluator among them), and the cursor threads across repetitions so
 // virtual time keeps moving forward.
-func sloBenchMeasure(sw *Switch, passes int, now *Time) float64 {
-	batch := make([]*Packet, sloBenchBatch)
+func sloBenchMeasure(sw *Switch, ack []Frame, passes int, now *Time) float64 {
+	results := make([]Result, sloBenchBatch)
 	before := sw.Stats().Dataplane.Packets
 	start := time.Now()
 	for p := 0; p < passes; p++ {
 		for base := 0; base < sloBenchConns; base += sloBenchBatch {
-			for j := range batch {
-				batch[j] = clientPkt(base+j, netproto.FlagACK)
-			}
-			sw.ProcessBatch(*now, batch)
+			sw.ProcessFramesInto(*now, ack[base:base+sloBenchBatch], results)
 			*now = now.Add(Microsecond)
 			sw.AdvanceTo(*now)
 		}
@@ -89,18 +87,18 @@ func TestSLOArmedOverheadGate(t *testing.T) {
 	defer swOff.Close()
 	swOn := sloBenchSwitch(t, true)
 	defer swOn.Close()
-	sloBenchPrime(swOff)
-	sloBenchPrime(swOn)
+	ackOff := sloBenchPrime(t, swOff)
+	ackOn := sloBenchPrime(t, swOn)
 
 	const reps, passes = 5, 8
 	var bestOff, bestOn float64
 	nowOff, nowOn := Time(20*Millisecond), Time(20*Millisecond)
 	evalsBefore := swOn.SLO().Report().Evals
 	for r := 0; r < reps; r++ {
-		if pps := sloBenchMeasure(swOff, passes, &nowOff); pps > bestOff {
+		if pps := sloBenchMeasure(swOff, ackOff, passes, &nowOff); pps > bestOff {
 			bestOff = pps
 		}
-		if pps := sloBenchMeasure(swOn, passes, &nowOn); pps > bestOn {
+		if pps := sloBenchMeasure(swOn, ackOn, passes, &nowOn); pps > bestOn {
 			bestOn = pps
 		}
 	}
@@ -127,18 +125,15 @@ func BenchmarkSLOOverhead(b *testing.B) {
 		b.Run(side.name, func(b *testing.B) {
 			sw := sloBenchSwitch(b, side.armed)
 			defer sw.Close()
-			sloBenchPrime(sw)
-			batch := make([]*Packet, sloBenchBatch)
+			ack := sloBenchPrime(b, sw)
+			results := make([]Result, sloBenchBatch)
 			now := Time(20 * Millisecond)
 			b.ReportAllocs()
 			b.SetBytes(sloBenchBatch)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				base := (i * sloBenchBatch) % sloBenchConns
-				for j := range batch {
-					batch[j] = clientPkt((base+j)%sloBenchConns, netproto.FlagACK)
-				}
-				sw.ProcessBatch(now, batch)
+				sw.ProcessFramesInto(now, ack[base:base+sloBenchBatch], results)
 				now = now.Add(Microsecond)
 				sw.AdvanceTo(now)
 			}

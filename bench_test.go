@@ -192,7 +192,7 @@ func frameBenchSwitch(tb testing.TB, conns int) (*Switch, []Frame) {
 	}
 	// Open every connection and let the insertions land, so the measured
 	// region is pure ConnTable hits.
-	sw.ProcessFrames(0, frames)
+	sw.ProcessFramesInto(0, frames, make([]Result, conns))
 	sw.Advance(Time(5 * Millisecond))
 	for i := range frames {
 		p := &Packet{

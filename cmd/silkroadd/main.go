@@ -247,7 +247,7 @@ func main() {
 		}()
 	}
 
-	// The tunnel loop: batched reads feeding ProcessFrames, in-place
+	// The tunnel loop: batched reads feeding ProcessFramesInto, in-place
 	// rewrite or encap at TX. Blocks until the context falls.
 	if err := tun.Run(ctx); err != nil {
 		log.Printf("silkroadd: tunnel: %v", err)

@@ -305,23 +305,26 @@ func TestFlightRecorderChurnRace(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
+	// The traffic is built up front: framesOf may call t.Fatal, which only
+	// the test goroutine may do.
+	pkts := make([]*Packet, conns*passes)
+	for i := range pkts {
+		flags := netproto.FlagACK
+		if i < conns {
+			flags = netproto.FlagSYN
+		}
+		pkts[i] = clientPkt(i%conns, flags)
+	}
+	frames := framesOf(t, pkts...)
+
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(stop)
-		batch := make([]*Packet, 0, batchSize)
-		total := conns * passes
-		for p := 0; p < total; p += batchSize {
-			batch = batch[:0]
-			for i := p; i < p+batchSize && i < total; i++ {
-				flags := netproto.FlagACK
-				if i < conns {
-					flags = netproto.FlagSYN
-				}
-				batch = append(batch, clientPkt(i%conns, flags))
-			}
+		results := make([]Result, batchSize)
+		for p := 0; p < len(frames); p += batchSize {
 			now := Time(nowNS.Add(int64(10 * Microsecond)))
-			sw.ProcessBatch(now, batch)
+			sw.ProcessFramesInto(now, frames[p:min(p+batchSize, len(frames))], results)
 			sw.Advance(now)
 		}
 	}()

@@ -168,9 +168,7 @@ func (c *Cluster) Packet(now simtime.Time, pkt *netproto.Packet) (dataplane.DIP,
 		// blackhole if it does (misconfiguration).
 		return dataplane.DIP{}, i, false
 	}
-	m.cp.Advance(now)
-	res := m.sw.Process(now, pkt)
-	res = m.cp.HandleResult(now, pkt, res)
+	res := m.cp.Process(now, pkt)
 	return res.DIP, i, res.Verdict == dataplane.VerdictForward
 }
 

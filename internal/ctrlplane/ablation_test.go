@@ -28,14 +28,11 @@ func failoverAblation(t testing.TB, resilient bool) (versions uint64, moved int)
 		}
 	}
 	send := func(now simtime.Time, i int, syn bool) dataplane.Result {
-		cp.Advance(now)
 		flags := netproto.FlagACK
 		if syn {
 			flags = netproto.FlagSYN
 		}
-		pkt := &netproto.Packet{Tuple: tupleN(i), TCPFlags: flags}
-		res := sw.Process(now, pkt)
-		return cp.HandleResult(now, pkt, res)
+		return cp.Process(now, &netproto.Packet{Tuple: tupleN(i), TCPFlags: flags})
 	}
 	// Establish a base population.
 	first := map[int]dataplane.DIP{}

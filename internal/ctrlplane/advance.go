@@ -289,26 +289,31 @@ func (cp *ControlPlane) NextTransition() (simtime.Time, bool) {
 	return best, found
 }
 
-// HandleResult performs the CPU side of a packet's outcome: arbitrating
-// redirected SYNs and tracking liveness. It returns the authoritative
-// forwarding decision (for redirects, the decision after software
-// resolution and re-injection).
-func (cp *ControlPlane) HandleResult(now simtime.Time, pkt *netproto.Packet, res dataplane.Result) dataplane.Result {
-	cp.HandleResultInto(now, pkt, &res)
+// Process is one packet's full step on this pipe: background CPU work due
+// by now, the data-plane pipeline, then CPU arbitration of the result. It
+// returns the authoritative forwarding decision (for redirected SYNs, the
+// decision after software resolution and re-injection). This is the one
+// place the per-packet ordering of CPU and pipeline work is written.
+func (cp *ControlPlane) Process(now simtime.Time, pkt *netproto.Packet) dataplane.Result {
+	cp.Advance(now)
+	res := cp.sw.Process(now, pkt)
+	cp.HandleTupleResultInto(now, pkt.Tuple, &res)
 	return res
 }
 
-// HandleResultInto is HandleResult writing the authoritative decision back
-// through *res. The batch path uses it to finish each packet in its result
-// slot without copying the Result through the call chain; redirects — rare
-// by construction — still take the value-based resolvers.
-func (cp *ControlPlane) HandleResultInto(now simtime.Time, pkt *netproto.Packet, res *dataplane.Result) {
-	cp.HandleTupleResultInto(now, pkt.Tuple, res)
+// ProcessFrame is Process on the wire-native currency.
+func (cp *ControlPlane) ProcessFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
+	cp.Advance(now)
+	res := cp.sw.ProcessFrame(now, f)
+	cp.HandleTupleResultInto(now, f.Tuple, &res)
+	return res
 }
 
-// HandleTupleResultInto is the currency-neutral core of HandleResultInto:
-// the CPU side only ever needs the packet's five-tuple, so the frame path
-// calls it directly without materializing a Packet struct.
+// HandleTupleResultInto performs the CPU side of a packet's outcome,
+// writing the authoritative decision back through *res: it arbitrates
+// redirected SYNs and tracks liveness. The CPU side only ever needs the
+// packet's five-tuple, so both currencies share it; redirects — rare by
+// construction — take the value-based resolvers.
 func (cp *ControlPlane) HandleTupleResultInto(now simtime.Time, tuple netproto.FiveTuple, res *dataplane.Result) {
 	switch res.Verdict {
 	case dataplane.VerdictRedirectSYNConn:

@@ -42,7 +42,7 @@ func TestTransitSYNArbitrationDeterministic(t *testing.T) {
 	if res.Verdict != dataplane.VerdictRedirectSYNTransit {
 		t.Fatalf("retransmitted SYN verdict = %v (bloom should hit)", res.Verdict)
 	}
-	res = h.cp.HandleResult(simtime.Time(1000), retrans, res)
+	h.cp.HandleTupleResultInto(simtime.Time(1000), retrans.Tuple, &res)
 	if res.Verdict != dataplane.VerdictForward || res.Version != 0 {
 		t.Fatalf("retransmitted pending SYN resolved to version %d", res.Version)
 	}
@@ -62,7 +62,7 @@ func TestTransitSYNArbitrationDeterministic(t *testing.T) {
 		if r.Verdict != dataplane.VerdictRedirectSYNTransit {
 			continue
 		}
-		r = h.cp.HandleResult(simtime.Time(2000+i), pkt, r)
+		h.cp.HandleTupleResultInto(simtime.Time(2000+i), pkt.Tuple, &r)
 		if r.Verdict != dataplane.VerdictForward {
 			t.Fatalf("FP SYN unresolved: %v", r.Verdict)
 		}

@@ -7,8 +7,8 @@
 // bloom false positives.
 //
 // The control plane is a deterministic state machine over virtual time:
-// callers advance it with Advance(now) and feed it packet outcomes through
-// HandleResult. No goroutines, no wall clock — every experiment replays
+// callers run packets through Process (or ProcessFrame), which advances it
+// to the packet's time, runs the pipeline and arbitrates the outcome. No goroutines, no wall clock — every experiment replays
 // identically.
 package ctrlplane
 

@@ -64,10 +64,7 @@ func newHarness(t *testing.T, dcfg dataplane.Config, ccfg Config) *harness {
 // PCC: a forwarded packet whose DIP differs from the connection's first
 // DIP is a violation.
 func (h *harness) send(now simtime.Time, tup netproto.FiveTuple, flags uint8) dataplane.Result {
-	h.cp.Advance(now)
-	pkt := &netproto.Packet{Tuple: tup, TCPFlags: flags}
-	res := h.sw.Process(now, pkt)
-	res = h.cp.HandleResult(now, pkt, res)
+	res := h.cp.Process(now, &netproto.Packet{Tuple: tup, TCPFlags: flags})
 	if res.Verdict == dataplane.VerdictForward {
 		if first, seen := h.firstDIP[res.KeyHash]; seen {
 			if first != res.DIP {
@@ -512,10 +509,7 @@ func BenchmarkInsertionPipeline(b *testing.B) {
 	b.ResetTimer()
 	now := simtime.Time(0)
 	for i := 0; i < b.N; i++ {
-		pkt := &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN}
-		cp.Advance(now)
-		res := sw.Process(now, pkt)
-		cp.HandleResult(now, pkt, res)
+		cp.Process(now, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
 		now = now.Add(simtime.Duration(10 * simtime.Microsecond))
 	}
 }

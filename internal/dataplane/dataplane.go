@@ -455,34 +455,16 @@ func (s *Switch) ConnDigest(t netproto.FiveTuple) uint32 {
 
 // Process runs one packet through the pipeline (Figure 10) and returns the
 // forwarding decision. It never blocks and performs no CPU-side work; it
-// may enqueue a learn event or redirect a SYN to the CPU.
+// may enqueue a learn event or redirect a SYN to the CPU. The meter charges
+// the packet's canonical WireLen.
 func (s *Switch) Process(now simtime.Time, pkt *netproto.Packet) Result {
 	var lane uint64
 	if s.cfg.DerivedHashes {
 		lane = netproto.LaneHash(s.cfg.LaneSeed, &pkt.Tuple)
 	}
 	var res Result
-	s.runInto(now, pkt, lane, &res)
+	s.pipelineInto(now, &pkt.Tuple, pkt.TCPFlags, pkt.WireLen(), lane, false, &res)
 	return res
-}
-
-// ProcessLane is Process for callers that already computed the packet's
-// chip-level lane hash — the multi-pipe batch path computes it once per
-// packet to pick the pipe and passes it down so the pipeline does not hash
-// the tuple again. lane must equal netproto.LaneHash(Config.LaneSeed,
-// &pkt.Tuple); it is ignored unless Config.DerivedHashes is set.
-func (s *Switch) ProcessLane(now simtime.Time, pkt *netproto.Packet, lane uint64) Result {
-	var res Result
-	s.runInto(now, pkt, lane, &res)
-	return res
-}
-
-// ProcessLaneInto is ProcessLane writing the decision into *out instead of
-// returning it. The multi-pipe batch path uses it to fill each result slot
-// in place — the Result struct is wide enough that the value-returning
-// call chain costs a measurable fraction of the per-packet budget.
-func (s *Switch) ProcessLaneInto(now simtime.Time, pkt *netproto.Packet, lane uint64, out *Result) {
-	s.runInto(now, pkt, lane, out)
 }
 
 // ProcessFrame runs one parsed wire frame through the pipeline. It is
@@ -491,38 +473,30 @@ func (s *Switch) ProcessLaneInto(now simtime.Time, pkt *netproto.Packet, lane ui
 // frame's actual on-the-wire length rather than a canonical-framing
 // reconstruction.
 func (s *Switch) ProcessFrame(now simtime.Time, f *netproto.Frame) Result {
+	var res Result
+	s.ProcessFrameInto(now, f, &res)
+	return res
+}
+
+// ProcessFrameInto is ProcessFrame writing the decision into *out in
+// place — the Result struct is wide enough that the value-returning call
+// chain costs a measurable fraction of the per-packet budget on the batch
+// path. Under Config.DerivedHashes the key hash and digest derive from the
+// frame's memoized lane hash; the multi-pipe batch path fills that cache
+// while sharding, so its workers only read the frame.
+func (s *Switch) ProcessFrameInto(now simtime.Time, f *netproto.Frame, out *Result) {
 	var lane uint64
 	if s.cfg.DerivedHashes {
 		lane = f.LaneHash(s.cfg.LaneSeed)
 	}
-	var res Result
-	s.frameInto(now, f, lane, &res)
-	return res
-}
-
-// ProcessFrameInto is ProcessFrame for the multi-pipe batch path: the lane
-// hash was already taken from the frame to pick the pipe and is passed
-// down, and the decision is written into *out in place. lane is ignored
-// unless Config.DerivedHashes is set.
-func (s *Switch) ProcessFrameInto(now simtime.Time, f *netproto.Frame, lane uint64, out *Result) {
-	s.frameInto(now, f, lane, out)
-}
-
-// runInto is the struct-currency entry: it feeds the shared pipeline core
-// with the packet's fields and its canonical WireLen.
-func (s *Switch) runInto(now simtime.Time, pkt *netproto.Packet, lane uint64, res *Result) {
-	s.pipelineInto(now, &pkt.Tuple, pkt.TCPFlags, pkt.WireLen(), lane, false, res)
-}
-
-// frameInto is the wire-currency entry: same core, actual frame length.
-func (s *Switch) frameInto(now simtime.Time, f *netproto.Frame, lane uint64, res *Result) {
-	s.pipelineInto(now, &f.Tuple, f.TCPFlags, f.WireLen(), lane, true, res)
+	s.pipelineInto(now, &f.Tuple, f.TCPFlags, f.WireLen(), lane, true, out)
 }
 
 // pipelineInto runs the pipeline body and emits the telemetry event. Both
-// packet currencies (decoded structs and wire frames) funnel through here,
-// so verdicts, hashes, metering and tracing cannot diverge between them;
-// wire marks frame-path packets in the emitted telemetry.
+// entries (decoded structs at the simulation edge, wire frames everywhere
+// else) funnel through here, so verdicts, hashes, metering and tracing
+// cannot diverge between them; wire marks frame-path packets in the
+// emitted telemetry.
 func (s *Switch) pipelineInto(now simtime.Time, tuple *netproto.FiveTuple, tcpFlags uint8, wireLen int, lane uint64, wire bool, res *Result) {
 	vs := s.process(now, tuple, tcpFlags, wireLen, lane, res)
 	if s.tracer != nil {

@@ -189,7 +189,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 	}
 	flows := make([]chaosFlow, 0, chaosLoadTicks*perTick+chaosProbes)
 	var (
-		batch     []*netproto.Packet
+		batch     frameBatch
 		batchIdx  []int
 		firstLive int
 	)
@@ -216,7 +216,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 		return v, ok
 	}
 	runBatch := func(now simtime.Time) {
-		res := eng.ProcessBatch(now, batch)
+		res := batch.process(eng, now, 0, len(batch.frames))
 		var fwd uint64
 		for j, r := range res {
 			rep.Packets++
@@ -268,13 +268,14 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 			}
 			firstLive = (bt + 1) * perTick
 		}
-		batch, batchIdx = batch[:0], batchIdx[:0]
+		batch.reset()
+		batchIdx = batchIdx[:0]
 		// Established traffic: a rotating 1/chaosStride sample of the live
 		// flows, so every flow revisits the data path a few times per
 		// lifetime without the soak ballooning.
 		for i := firstLive; i < len(flows); i++ {
 			if i%chaosStride == t%chaosStride {
-				batch = append(batch, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagACK})
+				batch.add(expTuple(i), netproto.FlagACK)
 				batchIdx = append(batchIdx, i)
 			}
 		}
@@ -282,7 +283,7 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 			for k := 0; k < perTick; k++ {
 				i := len(flows)
 				flows = append(flows, chaosFlow{})
-				batch = append(batch, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN})
+				batch.add(expTuple(i), netproto.FlagSYN)
 				batchIdx = append(batchIdx, i)
 			}
 		}
@@ -300,11 +301,12 @@ func RunChaosSoak(scale float64, seed int64) (*ChaosReport, error) {
 
 	// Degraded mode is evaluated lazily on the miss path, so a handful of
 	// fresh flows probe the exit transition (and must be served normally).
-	batch, batchIdx = batch[:0], batchIdx[:0]
+	batch.reset()
+	batchIdx = batchIdx[:0]
 	for k := 0; k < chaosProbes; k++ {
 		i := len(flows)
 		flows = append(flows, chaosFlow{})
-		batch = append(batch, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN})
+		batch.add(expTuple(i), netproto.FlagSYN)
 		batchIdx = append(batchIdx, i)
 	}
 	runBatch(drainAt)

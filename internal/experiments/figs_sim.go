@@ -311,7 +311,7 @@ func fig15Run(n int, seed int64, disableReuse bool) (minted, maxActive int, err 
 		// A connection arrives and pins the current version.
 		pkt := synPacket(nextTuple)
 		res := sw.Process(now, pkt)
-		cp.HandleResult(now, pkt, res)
+		cp.HandleTupleResultInto(now, pkt.Tuple, &res)
 		endings = append(endings, ending{at: now.Add(life), tuple: nextTuple})
 		nextTuple++
 		// Rolling reboot step.

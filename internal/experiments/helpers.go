@@ -6,6 +6,7 @@ import (
 	"repro/internal/ctrlplane"
 	"repro/internal/dataplane"
 	"repro/internal/netproto"
+	"repro/internal/pipes"
 	"repro/internal/regarray"
 	"repro/internal/simtime"
 )
@@ -52,6 +53,49 @@ func synPacket(i int) *netproto.Packet {
 	return &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN}
 }
 
+// frameBatch is the simulation edge of the frame batch path: it marshals
+// synthetic packets to wire bytes and parses each once into a Frame, like
+// a receive loop. Buffers, frames and results are reused across resets,
+// so a batch rebuilt every tick allocates only while it grows.
+type frameBatch struct {
+	bufs    [][]byte
+	frames  []netproto.Frame
+	results []dataplane.Result
+}
+
+// reset empties the batch, keeping its storage.
+func (b *frameBatch) reset() { b.frames = b.frames[:0] }
+
+// add appends the frame of a header-only packet on tuple t with the given
+// TCP flags.
+func (b *frameBatch) add(t netproto.FiveTuple, flags uint8) {
+	n := len(b.frames)
+	if n == len(b.bufs) {
+		b.bufs = append(b.bufs, nil)
+	}
+	pkt := netproto.Packet{Tuple: t, TCPFlags: flags}
+	raw, err := pkt.Marshal(b.bufs[n])
+	if err != nil {
+		panic(err) // experiment tuples are valid by construction
+	}
+	b.bufs[n] = raw
+	b.frames = append(b.frames, netproto.Frame{})
+	if err := netproto.ParseFrame(raw, &b.frames[n]); err != nil {
+		panic(err)
+	}
+}
+
+// process runs frames [lo, hi) through eng and returns their results, in
+// a buffer the next call reuses.
+func (b *frameBatch) process(eng *pipes.Engine, now simtime.Time, lo, hi int) []dataplane.Result {
+	if cap(b.results) < hi-lo {
+		b.results = make([]dataplane.Result, hi-lo)
+	}
+	res := b.results[:hi-lo]
+	eng.ProcessFramesInto(now, b.frames[lo:hi], res)
+	return res
+}
+
 // insertionThroughput offers SYNs faster than the CPU's configured rate
 // and measures sustained insertions per virtual second plus the mean
 // arrival-to-install delay.
@@ -74,10 +118,7 @@ func insertionThroughput(scale float64) (ratePerSec float64, meanDelay simtime.D
 	now := simtime.Time(0)
 	i := 0
 	for now.Before(simtime.Time(0).Add(dur)) {
-		cp.Advance(now)
-		pkt := &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN}
-		res := sw.Process(now, pkt)
-		cp.HandleResult(now, pkt, res)
+		cp.Process(now, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN})
 		now = now.Add(interval)
 		i++
 	}

@@ -31,16 +31,17 @@ type PipesBenchConfig struct {
 	// chip finishes when its most-loaded pipe does.
 	ModeledPPS float64 `json:"modeled_pps"`
 	// WallclockPPS is established-traffic packets per wall-clock second of
-	// this simulation run on the build host: connections are primed and
-	// drained before the timer starts, so the figure is the steady-state
-	// batch-path rate, not a mix of handshakes and table churn.
+	// this simulation run on the build host, swept through the batch path
+	// (ProcessFramesInto). Connections are primed and drained before the
+	// timer starts, and the frames are marshaled and parsed once up front
+	// (the tunnel parses each packet exactly once on receive), so the
+	// figure is the steady-state table path, not a mix of handshakes,
+	// table churn and parsing.
 	WallclockPPS float64 `json:"wallclock_pps"`
-	// FramesPPS is the same steady-state measurement over the wire-native
-	// path: the identical connections pre-marshaled to raw bytes and
-	// pre-parsed once, then swept through ProcessFramesInto. Parsing stays
-	// outside the timed region (the tunnel parses each packet exactly once
-	// on receive), so this is the frame currency's per-packet table cost.
-	FramesPPS float64 `json:"frames_pps,omitempty"`
+	// PerFramePPS is the same measurement with each frame submitted alone
+	// through Engine.ProcessFrame: one pipe lock and one control-plane
+	// Advance per frame instead of per shard.
+	PerFramePPS float64 `json:"per_frame_pps"`
 }
 
 // PipesTrendPoint is one recorded run of the benchmark: the wallclock
@@ -53,10 +54,16 @@ type PipesTrendPoint struct {
 	OnePipePPS      float64 `json:"one_pipe_pps"`
 	FourPipePPS     float64 `json:"four_pipe_pps"`
 	WallclockSpeedX float64 `json:"wallclock_speedup"`
-	// FourPipeFramesPPS and FramesVsStructX record the wire-native path at
-	// 4 pipes: its absolute rate and its ratio to the struct path on the
-	// same run (the frames gate's series). Zero on points recorded before
-	// the frame path existed.
+	// FourPipePerFramePPS and BatchVsPerFrameX record the per-frame entry
+	// at 4 pipes: its absolute rate and the batch path's ratio to it on the
+	// same run (the in-run gate's series). Zero on points recorded before
+	// the batch path was frames only.
+	FourPipePerFramePPS float64 `json:"four_pipe_per_frame_pps,omitempty"`
+	BatchVsPerFrameX    float64 `json:"batch_vs_per_frame,omitempty"`
+	// FourPipeFramesPPS and FramesVsStructX are kept so older points keep
+	// their fields: until the struct batch path was removed, one_pipe_pps
+	// and four_pipe_pps measured struct batches, and these recorded the
+	// frame batch rate at 4 pipes and its ratio to the struct rate.
 	FourPipeFramesPPS float64 `json:"four_pipe_frames_pps,omitempty"`
 	FramesVsStructX   float64 `json:"frames_vs_struct,omitempty"`
 }
@@ -74,12 +81,12 @@ type PipesBenchResult struct {
 	Configs         []PipesBenchConfig `json:"configs"`
 	ModeledSpeedup  float64            `json:"modeled_speedup"`
 	WallclockSpeedX float64            `json:"wallclock_speedup"`
-	// FramesVsStructX is frames-mode wallclock pps over struct-mode
-	// wallclock pps at 4 pipes for this run. The frame path skips the
-	// per-batch tuple hashing the struct path pays (frames carry their lane
-	// hash from the single parse), so this is expected to sit at or above
-	// 1.0; GatePipes fails a run where it falls below 0.9.
-	FramesVsStructX float64 `json:"frames_vs_struct,omitempty"`
+	// BatchVsPerFrameX is batch-path wallclock pps over per-frame wallclock
+	// pps at 4 pipes for this run, over the same resident connections. The
+	// batch path takes each pipe lock and advances each control plane once
+	// per shard rather than once per frame, so this is expected to sit
+	// above 1.0; GatePipes fails a run where it falls below 0.9.
+	BatchVsPerFrameX float64 `json:"batch_vs_per_frame"`
 	// Trajectory carries this run's point appended to the points recorded
 	// by previous runs (read back from the existing artifact, if any).
 	Trajectory []PipesTrendPoint `json:"trajectory,omitempty"`
@@ -88,11 +95,12 @@ type PipesBenchResult struct {
 const pipesBenchNote = "modeled_pps is the aggregate throughput under the ASIC model: each pipe " +
 	"forwards its shard at the per-pipe line rate (1e9 pps), so the chip-level rate is " +
 	"total_packets / max_pipe_packets x line rate. wallclock_pps measures this simulator's " +
-	"steady-state batch path on the build host (established traffic only; priming and drains " +
-	"untimed); frames_pps is the same measurement over the wire-native path (pre-parsed raw " +
-	"frames through ProcessFramesInto). wallclock_speedup = 4-pipe pps / 1-pipe pps and " +
-	"frames_vs_struct = 4-pipe frames pps / struct pps are the gated headlines; the " +
-	"trajectory records both per run so CI can fail on a ratio regression."
+	"steady-state batch path (pre-parsed frames through ProcessFramesInto) on the build host " +
+	"(established traffic only; priming, drains and parsing untimed); per_frame_pps is the " +
+	"same measurement with one Engine.ProcessFrame call per frame. wallclock_speedup = " +
+	"4-pipe pps / 1-pipe pps and batch_vs_per_frame = 4-pipe batch pps / per-frame pps are " +
+	"the gated headlines; the trajectory records both per run so CI can fail on a ratio " +
+	"regression. Points before batch_vs_per_frame existed measured struct batches."
 
 // pipesMetrics is the METRICS_pipes.json payload: one telemetry snapshot
 // per benchmarked pipe count, taken at end of run in virtual time.
@@ -108,45 +116,6 @@ const pipesMetricsNote = "end-of-run telemetry snapshots per pipe count; " +
 	"histogram sums are in seconds of virtual time (e.g. the pending window " +
 	"silkroad_insert_pending_window_seconds)."
 
-// pipesBenchPackets pregenerates one packet per connection, outside the
-// timed region: the measurement loops then only flip TCP flags and reuse
-// the slice, so packet construction (address formatting in particular)
-// never pollutes the wallclock figure.
-func pipesBenchPackets(conns int) []*netproto.Packet {
-	backing := make([]netproto.Packet, conns)
-	pkts := make([]*netproto.Packet, conns)
-	for i := range pkts {
-		backing[i].Tuple = expTuple(i)
-		pkts[i] = &backing[i]
-	}
-	return pkts
-}
-
-// pipesBenchFrames materializes the same connections as raw wire bytes
-// parsed into frames, all outside the timed region — the tunnel parses
-// each received packet exactly once, so the frames measurement charges
-// only the table path, like the struct measurement does.
-func pipesBenchFrames(pkts []*netproto.Packet) ([]netproto.Frame, error) {
-	var arena, scratch []byte
-	offs := make([]int, len(pkts)+1)
-	for i, p := range pkts {
-		raw, err := p.Marshal(scratch)
-		if err != nil {
-			return nil, fmt.Errorf("pipes bench: marshal conn %d: %w", i, err)
-		}
-		scratch = raw
-		arena = append(arena, raw...)
-		offs[i+1] = len(arena)
-	}
-	frames := make([]netproto.Frame, len(pkts))
-	for i := range frames {
-		if err := netproto.ParseFrame(arena[offs[i]:offs[i+1]:offs[i+1]], &frames[i]); err != nil {
-			return nil, fmt.Errorf("pipes bench: reparse conn %d: %w", i, err)
-		}
-	}
-	return frames, nil
-}
-
 // runPipesConfig drives one engine through the benchmark workload and
 // returns its measured row, plus an end-of-run telemetry snapshot when
 // CollectTelemetry is on (nil otherwise, keeping the hot path untraced).
@@ -154,9 +123,10 @@ func pipesBenchFrames(pkts []*netproto.Packet) ([]netproto.Frame, error) {
 // The workload has three phases: an untimed priming phase that opens every
 // connection with SYN batches, an untimed drain that lets each pipe's CPU
 // flush its learning filter and insertion queue, and the timed measurement
-// phase — measurePasses ACK-only sweeps over the whole connection set
-// through ProcessBatchInto with a reused results buffer. The timed region
-// is therefore the steady-state batch path: hits in the ConnTable, no
+// phase — measurePasses ACK-only sweeps over the whole connection set,
+// first frame by frame through Engine.ProcessFrame, then in batches through
+// ProcessFramesInto with a reused results buffer. The timed regions are
+// therefore the steady-state packet path: hits in the ConnTable, no
 // learns, no allocation.
 func runPipesConfig(nPipes, conns, measurePasses, batchSize int, seed int64) (PipesBenchConfig, *telemetry.Snapshot, error) {
 	tableTarget := 200_000
@@ -184,21 +154,20 @@ func runPipesConfig(nPipes, conns, measurePasses, batchSize int, seed int64) (Pi
 		return PipesBenchConfig{}, nil, err
 	}
 
-	pkts := pipesBenchPackets(conns)
-	results := make([]dataplane.Result, batchSize)
+	// Frames are marshaled and parsed outside every timed region, so the
+	// measurement loops only reuse them (address formatting and parsing
+	// never pollute the wallclock figure).
+	var syn, ack frameBatch
+	for i := 0; i < conns; i++ {
+		syn.add(expTuple(i), netproto.FlagSYN)
+		ack.add(expTuple(i), netproto.FlagACK)
+	}
 	now := simtime.Time(0)
 
 	// Prime: open every connection. A millisecond of virtual time per batch
 	// keeps the learning filters flushing while the CPUs insert.
-	for _, p := range pkts {
-		p.TCPFlags = netproto.FlagSYN
-	}
 	for off := 0; off < conns; off += batchSize {
-		end := off + batchSize
-		if end > conns {
-			end = conns
-		}
-		eng.ProcessBatchInto(now, pkts[off:end], results)
+		syn.process(eng, now, off, min(off+batchSize, conns))
 		now = now.Add(simtime.Duration(simtime.Millisecond))
 		eng.Advance(now)
 	}
@@ -207,68 +176,39 @@ func runPipesConfig(nPipes, conns, measurePasses, batchSize int, seed int64) (Pi
 	now = now.Add(simtime.Duration(10 * simtime.Second))
 	eng.Advance(now)
 
-	// Measure: established traffic only. The work is repeated in three
-	// independently timed repetitions and the fastest one is reported —
-	// interference on a shared build host only ever slows a repetition
-	// down, so the max-rate repetition is the closest to the code's true
-	// cost and the most stable series for the gate to compare.
-	for _, p := range pkts {
-		p.TCPFlags = netproto.FlagACK
-	}
-	const measureReps = 3
-	var bestPPS float64
-	for rep := 0; rep < measureReps; rep++ {
-		before := eng.Stats().Dataplane.Packets
-		start := time.Now()
-		for pass := 0; pass < measurePasses; pass++ {
-			for off := 0; off < conns; off += batchSize {
-				end := off + batchSize
-				if end > conns {
-					end = conns
+	// Measure: established traffic only, the same connections swept per
+	// frame and then in batches — both pure ConnTable hits on the same
+	// switch state. Each sweep is repeated in three independently timed
+	// repetitions and the fastest one is reported: interference on a
+	// shared build host only ever slows a repetition down, so the max-rate
+	// repetition is the closest to the code's true cost and the most
+	// stable series for the gate to compare.
+	timed := func(sweep func(lo, hi int)) float64 {
+		const measureReps = 3
+		var best float64
+		for rep := 0; rep < measureReps; rep++ {
+			before := eng.Stats().Dataplane.Packets
+			start := time.Now()
+			for pass := 0; pass < measurePasses; pass++ {
+				for off := 0; off < conns; off += batchSize {
+					sweep(off, min(off+batchSize, conns))
+					now = now.Add(simtime.Duration(simtime.Microsecond))
+					eng.Advance(now)
 				}
-				eng.ProcessBatchInto(now, pkts[off:end], results)
-				now = now.Add(simtime.Duration(simtime.Microsecond))
-				eng.Advance(now)
+			}
+			elapsed := time.Since(start).Seconds()
+			if done := eng.Stats().Dataplane.Packets - before; elapsed > 0 && done > 0 {
+				best = max(best, float64(done)/elapsed)
 			}
 		}
-		elapsed := time.Since(start).Seconds()
-		if done := eng.Stats().Dataplane.Packets - before; elapsed > 0 && done > 0 {
-			if pps := float64(done) / elapsed; pps > bestPPS {
-				bestPPS = pps
-			}
-		}
+		return best
 	}
-
-	// Frames mode: the identical established connections as pre-parsed wire
-	// frames through ProcessFramesInto, timed the same way (best of three
-	// repetitions). The connections are already resident, so both modes
-	// measure pure ConnTable hits on the same switch state.
-	frames, err := pipesBenchFrames(pkts)
-	if err != nil {
-		return PipesBenchConfig{}, nil, err
-	}
-	var bestFramesPPS float64
-	for rep := 0; rep < measureReps; rep++ {
-		before := eng.Stats().Dataplane.Packets
-		start := time.Now()
-		for pass := 0; pass < measurePasses; pass++ {
-			for off := 0; off < conns; off += batchSize {
-				end := off + batchSize
-				if end > conns {
-					end = conns
-				}
-				eng.ProcessFramesInto(now, frames[off:end], results)
-				now = now.Add(simtime.Duration(simtime.Microsecond))
-				eng.Advance(now)
-			}
+	perFramePPS := timed(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			eng.ProcessFrame(now, &ack.frames[i])
 		}
-		elapsed := time.Since(start).Seconds()
-		if done := eng.Stats().Dataplane.Packets - before; elapsed > 0 && done > 0 {
-			if pps := float64(done) / elapsed; pps > bestFramesPPS {
-				bestFramesPPS = pps
-			}
-		}
-	}
+	})
+	batchPPS := timed(func(lo, hi int) { ack.process(eng, now, lo, hi) })
 	st := eng.Stats()
 
 	var maxPipe uint64
@@ -286,8 +226,8 @@ func runPipesConfig(nPipes, conns, measurePasses, batchSize int, seed int64) (Pi
 	if maxPipe > 0 {
 		row.ModeledPPS = float64(st.Dataplane.Packets) / float64(maxPipe) * perPipePacketRate
 	}
-	row.WallclockPPS = bestPPS
-	row.FramesPPS = bestFramesPPS
+	row.WallclockPPS = batchPPS
+	row.PerFramePPS = perFramePPS
 	var snap *telemetry.Snapshot
 	if reg != nil {
 		s := reg.Snapshot(now)
@@ -337,19 +277,20 @@ func priorTrajectory() []PipesTrendPoint {
 // different speeds; comparing at equal scale keeps it honest across
 // workload sizes. With no comparable history the gate passes.
 //
-// It also gates the wire-native path within the run itself: frames-mode
-// wallclock pps at 4 pipes must stay at or above 90% of struct-mode pps
-// (the two modes sweep the same resident connections, so the ratio is
-// host-independent; the 10% band absorbs timer jitter).
+// It also gates the batch path within the run itself: batch wallclock pps
+// at 4 pipes must stay at or above 90% of per-frame pps (the two sweeps
+// cover the same resident connections, so the ratio is host-independent;
+// the 10% band absorbs timer jitter). Points recorded before the ratio
+// existed (zero) are exempt.
 func GatePipes(res PipesBenchResult) error {
 	n := len(res.Trajectory)
 	if n == 0 {
 		return nil
 	}
 	cur := res.Trajectory[n-1]
-	if cur.FramesVsStructX > 0 && cur.FramesVsStructX < 0.9 {
-		return fmt.Errorf("pipes perf gate: frames-mode wallclock is %.2fx of struct mode at 4 pipes, floor is 0.90x",
-			cur.FramesVsStructX)
+	if cur.BatchVsPerFrameX > 0 && cur.BatchVsPerFrameX < 0.9 {
+		return fmt.Errorf("pipes perf gate: batch wallclock is %.2fx of per-frame at 4 pipes, floor is 0.90x",
+			cur.BatchVsPerFrameX)
 	}
 	for i := n - 2; i >= 0; i-- {
 		prev := res.Trajectory[i]
@@ -407,33 +348,33 @@ func PipesBench(scale float64, seed int64) (*Report, error) {
 	if one.WallclockPPS > 0 {
 		result.WallclockSpeedX = four.WallclockPPS / one.WallclockPPS
 	}
-	if four.WallclockPPS > 0 {
-		result.FramesVsStructX = four.FramesPPS / four.WallclockPPS
+	if four.PerFramePPS > 0 {
+		result.BatchVsPerFrameX = four.WallclockPPS / four.PerFramePPS
 	}
 	result.Trajectory = append(priorTrajectory(), PipesTrendPoint{
-		When:              time.Now().UTC().Format(time.RFC3339),
-		Scale:             scale,
-		OnePipePPS:        one.WallclockPPS,
-		FourPipePPS:       four.WallclockPPS,
-		WallclockSpeedX:   result.WallclockSpeedX,
-		FourPipeFramesPPS: four.FramesPPS,
-		FramesVsStructX:   result.FramesVsStructX,
+		When:                time.Now().UTC().Format(time.RFC3339),
+		Scale:               scale,
+		OnePipePPS:          one.WallclockPPS,
+		FourPipePPS:         four.WallclockPPS,
+		WallclockSpeedX:     result.WallclockSpeedX,
+		FourPipePerFramePPS: four.PerFramePPS,
+		BatchVsPerFrameX:    result.BatchVsPerFrameX,
 	})
 	if len(result.Trajectory) > maxTrajectory {
 		result.Trajectory = result.Trajectory[len(result.Trajectory)-maxTrajectory:]
 	}
 
 	rep := &Report{ID: "pipes", Title: "Multi-pipe aggregate throughput (1 vs 4 pipes)"}
-	rep.Printf("%-7s %12s %14s %16s %14s  %s", "pipes", "packets", "modeled pps", "wallclock pps", "frames pps", "per-pipe packets")
+	rep.Printf("%-7s %12s %14s %16s %14s  %s", "pipes", "packets", "modeled pps", "wallclock pps", "per-frame pps", "per-pipe packets")
 	for _, c := range result.Configs {
-		rep.Printf("%-7d %12d %14.3g %16.3g %14.3g  %v", c.Pipes, c.Packets, c.ModeledPPS, c.WallclockPPS, c.FramesPPS, c.PipePackets)
+		rep.Printf("%-7d %12d %14.3g %16.3g %14.3g  %v", c.Pipes, c.Packets, c.ModeledPPS, c.WallclockPPS, c.PerFramePPS, c.PipePackets)
 	}
 	rep.Printf("modeled speedup  %.2fx (line-rate model; shard balance bound)", result.ModeledSpeedup)
 	rep.Printf("wallclock speedup %.2fx (steady-state batch path on this host — gated)", result.WallclockSpeedX)
-	rep.Printf("frames vs struct  %.2fx at 4 pipes (wire-native path — gated, floor 0.90x)", result.FramesVsStructX)
+	rep.Printf("batch vs per-frame %.2fx at 4 pipes (gated, floor 0.90x)", result.BatchVsPerFrameX)
 	for _, pt := range result.Trajectory {
-		rep.Printf("trajectory %-28s scale %-6g 1-pipe %10.3g  4-pipe %10.3g  speedup %.2fx  frames %.2fx",
-			pt.When, pt.Scale, pt.OnePipePPS, pt.FourPipePPS, pt.WallclockSpeedX, pt.FramesVsStructX)
+		rep.Printf("trajectory %-28s scale %-6g 1-pipe %10.3g  4-pipe %10.3g  speedup %.2fx  batch/per-frame %.2fx  frames/struct %.2fx",
+			pt.When, pt.Scale, pt.OnePipePPS, pt.FourPipePPS, pt.WallclockSpeedX, pt.BatchVsPerFrameX, pt.FramesVsStructX)
 	}
 
 	art, err := json.MarshalIndent(result, "", "  ")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -82,22 +83,55 @@ func TestGatePipes(t *testing.T) {
 		t.Fatal("33% drop across interleaved scales must fail the gate")
 	}
 
-	// The frames gate is in-run: frames-mode pps below 90% of struct mode
-	// fails regardless of history; at or above the floor passes; points
-	// recorded before the frame path existed (ratio 0) are exempt.
-	ptf := func(frames float64) PipesTrendPoint {
-		return PipesTrendPoint{When: "test", Scale: 1, WallclockSpeedX: 2.0, FramesVsStructX: frames}
+	// The batch gate is in-run: batch pps below 90% of per-frame pps at 4
+	// pipes fails regardless of history; at or above the floor passes;
+	// points recorded before the ratio existed (0) are exempt.
+	ptb := func(ratio float64) PipesTrendPoint {
+		return PipesTrendPoint{When: "test", Scale: 1, WallclockSpeedX: 2.0, BatchVsPerFrameX: ratio}
 	}
-	if err := GatePipes(mk(ptf(1.05))); err != nil {
-		t.Fatalf("frames ahead of struct must pass: %v", err)
+	if err := GatePipes(mk(ptb(1.05))); err != nil {
+		t.Fatalf("batch ahead of per-frame must pass: %v", err)
 	}
-	if err := GatePipes(mk(ptf(0.93))); err != nil {
-		t.Fatalf("frames within the 10%% band must pass: %v", err)
+	if err := GatePipes(mk(ptb(0.93))); err != nil {
+		t.Fatalf("batch within the 10%% band must pass: %v", err)
 	}
-	if err := GatePipes(mk(ptf(0.8))); err == nil {
-		t.Fatal("frames at 0.8x of struct must fail the gate")
+	if err := GatePipes(mk(ptb(0.8))); err == nil {
+		t.Fatal("batch at 0.8x of per-frame must fail the gate")
 	}
-	if err := GatePipes(mk(ptf(0))); err != nil {
-		t.Fatalf("pre-frames point must pass: %v", err)
+	if err := GatePipes(mk(ptb(0))); err != nil {
+		t.Fatalf("point without the ratio must pass: %v", err)
+	}
+	// A struct-era point's frames_vs_struct is history, not a gate: only
+	// the current run's batch ratio counts.
+	legacy := PipesTrendPoint{When: "test", Scale: 1, WallclockSpeedX: 2.0, FramesVsStructX: 0.5}
+	if err := GatePipes(mk(legacy, ptb(1.1))); err != nil {
+		t.Fatalf("legacy frames_vs_struct on an older point must not gate: %v", err)
+	}
+}
+
+// TestPipesTrajectoryKeepsLegacyFields pins that a point recorded while
+// the struct batch path existed keeps every field when a later run reads
+// the trajectory back and re-emits it.
+func TestPipesTrajectoryKeepsLegacyFields(t *testing.T) {
+	const old = `{"when":"2026-08-08T19:00:37Z","scale":1,"one_pipe_pps":4630805.875760989,` +
+		`"four_pipe_pps":9822092.439640786,"wallclock_speedup":2.1210330778607087,` +
+		`"four_pipe_frames_pps":11315946.080422202,"frames_vs_struct":1.152091181177689}`
+	var pt PipesTrendPoint
+	if err := json.Unmarshal([]byte(old), &pt); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got map[string]any
+	if err := json.Unmarshal([]byte(old), &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-emitted point differs:\n got %s\nwant %s", out, old)
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // RuntimeBenchRow is one measured driving mode.
 type RuntimeBenchRow struct {
-	// Mode is "hand" (the caller interleaves ProcessBatch with explicit
+	// Mode is "hand" (the caller interleaves frame batches with explicit
 	// Advance calls, the pre-runtime convention) or "sched" (a wall-clock
 	// scheduler driver owns background work; the packet path only pokes it).
 	Mode         string  `json:"mode"`
@@ -40,7 +40,7 @@ type RuntimeBenchResult struct {
 	OverheadPct float64 `json:"overhead_pct"`
 }
 
-const runtimeBenchNote = "overhead_pct compares ProcessBatch cost with background work " +
+const runtimeBenchNote = "overhead_pct compares ProcessFramesInto cost with background work " +
 	"driven by the wall-clock scheduler driver (sched) against explicit per-batch Advance " +
 	"calls (hand) on the same 4-pipe workload; both are wall-clock measurements of this " +
 	"simulator on the build host and jitter with host load."
@@ -69,15 +69,15 @@ func runRuntimeConfig(schedDriven bool, conns, pktsPerConn, batchSize int, seed 
 		return RuntimeBenchRow{}, err
 	}
 
-	// Establish the connection working set outside the timed region, then
-	// measure steady-state ACK batches.
-	batch := make([]*netproto.Packet, 0, batchSize)
-	for base := 0; base < conns; base += batchSize {
-		batch = batch[:0]
-		for i := base; i < base+batchSize && i < conns; i++ {
-			batch = append(batch, &netproto.Packet{Tuple: expTuple(i), TCPFlags: netproto.FlagSYN})
-		}
-		eng.ProcessBatch(0, batch)
+	// Establish the connection working set and build the ACK frames outside
+	// the timed region, then measure steady-state ACK batches.
+	var syn, ack frameBatch
+	for i := 0; i < conns; i++ {
+		syn.add(expTuple(i), netproto.FlagSYN)
+		ack.add(expTuple(i), netproto.FlagACK)
+	}
+	for off := 0; off < conns; off += batchSize {
+		syn.process(eng, 0, off, min(off+batchSize, conns))
 	}
 	eng.Advance(simtime.Time(5 * simtime.Millisecond))
 	now := simtime.Time(10 * simtime.Millisecond)
@@ -102,20 +102,19 @@ func runRuntimeConfig(schedDriven bool, conns, pktsPerConn, batchSize int, seed 
 
 	pktsTotal := conns * pktsPerConn
 	start := time.Now()
-	for p := 0; p < pktsTotal; p += batchSize {
-		batch = batch[:0]
-		for i := p; i < p+batchSize && i < pktsTotal; i++ {
-			batch = append(batch, &netproto.Packet{Tuple: expTuple(i % conns), TCPFlags: netproto.FlagACK})
+	for pass := 0; pass < pktsPerConn; pass++ {
+		for off := 0; off < conns; off += batchSize {
+			end := min(off+batchSize, conns)
+			if schedDriven {
+				clock.Set(now)
+				ack.process(eng, now, off, end)
+				driver.Poke()
+			} else {
+				ack.process(eng, now, off, end)
+				eng.Advance(now)
+			}
+			now = now.Add(simtime.Duration(simtime.Microsecond))
 		}
-		if schedDriven {
-			clock.Set(now)
-			eng.ProcessBatch(now, batch)
-			driver.Poke()
-		} else {
-			eng.ProcessBatch(now, batch)
-			eng.Advance(now)
-		}
-		now = now.Add(simtime.Duration(simtime.Microsecond))
 	}
 	elapsed := time.Since(start).Seconds()
 
@@ -169,7 +168,7 @@ func RuntimeBench(scale float64, seed int64) (*Report, error) {
 		result.OverheadPct = (schd.NsPerPacket/hand.NsPerPacket - 1) * 100
 	}
 
-	rep := &Report{ID: "runtime", Title: "Event-runtime overhead: scheduler-driven vs hand-driven ProcessBatch"}
+	rep := &Report{ID: "runtime", Title: "Event-runtime overhead: scheduler-driven vs hand-driven frame batches"}
 	rep.Printf("%-6s %12s %12s %14s %14s", "mode", "packets", "conns", "wallclock pps", "ns/packet")
 	for _, r := range result.Rows {
 		rep.Printf("%-6s %12d %12d %14.3g %14.1f", r.Mode, r.Packets, r.Connections, r.WallclockPPS, r.NsPerPacket)

@@ -36,15 +36,13 @@ func (a *SilkRoadAdapter) AddVIP(vip dataplane.VIP, pool []dataplane.DIP) error 
 
 // Packet implements Balancer.
 func (a *SilkRoadAdapter) Packet(now simtime.Time, t netproto.FiveTuple, syn bool) (dataplane.DIP, bool) {
-	a.CP.Advance(now)
 	pkt := &netproto.Packet{Tuple: t}
 	if syn {
 		pkt.TCPFlags = netproto.FlagSYN
 	} else {
 		pkt.TCPFlags = netproto.FlagACK
 	}
-	res := a.SW.Process(now, pkt)
-	res = a.CP.HandleResult(now, pkt, res)
+	res := a.CP.Process(now, pkt)
 	return res.DIP, res.Verdict == dataplane.VerdictForward
 }
 
@@ -97,9 +95,8 @@ func NewSilkRoadFrames(label string, dcfg dataplane.Config, ccfg ctrlplane.Confi
 }
 
 // Packet implements Balancer over the frame path: marshal, parse once,
-// ProcessFrame, hand the verdict to the control plane by tuple.
+// then the control plane's per-frame step.
 func (a *SilkRoadFramesAdapter) Packet(now simtime.Time, t netproto.FiveTuple, syn bool) (dataplane.DIP, bool) {
-	a.CP.Advance(now)
 	pkt := netproto.Packet{Tuple: t}
 	if syn {
 		pkt.TCPFlags = netproto.FlagSYN
@@ -114,8 +111,7 @@ func (a *SilkRoadFramesAdapter) Packet(now simtime.Time, t netproto.FiveTuple, s
 	if err := netproto.ParseFrame(raw, &a.frame); err != nil {
 		return dataplane.DIP{}, false
 	}
-	res := a.SW.ProcessFrame(now, &a.frame)
-	a.CP.HandleTupleResultInto(now, a.frame.Tuple, &res)
+	res := a.CP.ProcessFrame(now, &a.frame)
 	return res.DIP, res.Verdict == dataplane.VerdictForward
 }
 

@@ -24,8 +24,10 @@ import (
 // Ownership/aliasing rules (see DESIGN.md "Wire path"):
 //   - Data aliases the parse input; nothing in the pipeline retains it
 //     past the processing call.
-//   - The pipeline reads a Frame but never writes it, so a batch of
-//     frames can be processed by per-pipe workers concurrently.
+//   - The pipeline reads a Frame but never writes it beyond memoizing its
+//     lane hash, which the multi-pipe engine does before it hands the
+//     frames to its workers, so a batch of frames can be processed by
+//     per-pipe workers concurrently.
 //   - RewriteDst mutates Data in place (and Tuple to match); it must only
 //     run after processing decided the verdict, on the TX side.
 type Frame struct {
@@ -157,15 +159,6 @@ func (f *Frame) LaneHash(seed uint64) uint64 {
 		f.laneOK = true
 	}
 	return f.lane
-}
-
-// Packet fills p with the frame's decoded form (Payload aliases Data) for
-// callers still on the struct currency.
-func (f *Frame) Packet(p *Packet) {
-	p.Tuple = f.Tuple
-	p.TCPFlags = f.TCPFlags
-	p.Seq = f.Seq
-	p.Payload = f.Data[f.PayloadOff:]
 }
 
 // RewriteDst rewrites the frame's destination address and port in place to

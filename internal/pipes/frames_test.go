@@ -1,10 +1,11 @@
 package pipes
 
-// Tests for the wire-native batch path: frames through the persistent
-// worker rings must behave exactly like structs through ProcessBatch, and
-// the steady-state frames sweep must not allocate.
+// Tests for the frame batch path: frames through the persistent worker
+// rings must decide exactly like packets run one at a time through
+// Process, and the steady-state frames sweep must not allocate.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -12,80 +13,93 @@ import (
 	"repro/internal/simtime"
 )
 
-// framesN materializes frames for connections [0, n): each tuple marshaled
-// to wire bytes and parsed once, like the tunnel's receive path.
-func framesN(t *testing.T, n int, flags uint8) []netproto.Frame {
+// framesOf materializes one frame per connection index in [0, n): the tuple
+// tupleOf(i) marshaled to wire bytes and parsed once, like the tunnel's
+// receive path.
+func framesOf(t testing.TB, n int, flags uint8, tupleOf func(i int) netproto.FiveTuple) []netproto.Frame {
 	t.Helper()
 	frames := make([]netproto.Frame, n)
-	var arena, scratch []byte
-	offs := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		p := netproto.Packet{Tuple: tupleN(i), TCPFlags: flags}
-		raw, err := p.Marshal(scratch)
+	for i := range frames {
+		p := netproto.Packet{Tuple: tupleOf(i), TCPFlags: flags}
+		raw, err := p.Marshal(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch = raw
-		arena = append(arena, raw...)
-		offs[i+1] = len(arena)
-	}
-	for i := 0; i < n; i++ {
-		if err := netproto.ParseFrame(arena[offs[i]:offs[i+1]:offs[i+1]], &frames[i]); err != nil {
+		if err := netproto.ParseFrame(raw, &frames[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return frames
 }
 
-// TestFramesBatchMatchesStructBatch runs the same workload — SYN round,
-// established rounds, a DIP pool update in the middle — through a frames
-// engine and a structs twin. Every packet must get the identical verdict,
-// DIP and version: the wire currency and the struct currency are two entry
-// points into one pipeline, never two pipelines.
-func TestFramesBatchMatchesStructBatch(t *testing.T) {
-	framesEng := newTestEngine(t, 4, 10000)
-	structEng := newTestEngine(t, 4, 10000)
-	const conns = 300
-	now := simtime.Time(0)
-	results := make([]dataplane.Result, conns)
-	for round := 0; round < 6; round++ {
-		flags := netproto.FlagACK
-		if round == 0 {
-			flags = netproto.FlagSYN
+// framesN is framesOf over tupleN.
+func framesN(t testing.TB, n int, flags uint8) []netproto.Frame {
+	t.Helper()
+	return framesOf(t, n, flags, tupleN)
+}
+
+// batch runs frames through ProcessFramesInto into a fresh results slice.
+func batch(e *Engine, now simtime.Time, frames []netproto.Frame) []dataplane.Result {
+	results := make([]dataplane.Result, len(frames))
+	e.ProcessFramesInto(now, frames, results)
+	return results
+}
+
+// matchesPacketTwin runs frames as one batch on e and the same packets one
+// at a time through Process on twin, and fails on any difference in the
+// fields that define a decision: verdict, DIP, key hash, digest, version.
+// The batch is frames and the twin is structs, so this also checks that
+// the two currencies are two entries into one pipeline.
+func matchesPacketTwin(t *testing.T, label string, e, twin *Engine, now simtime.Time, frames []netproto.Frame) {
+	t.Helper()
+	got := batch(e, now, frames)
+	for i := range frames {
+		f := &frames[i]
+		want := twin.Process(now, &netproto.Packet{Tuple: f.Tuple, TCPFlags: f.TCPFlags, Seq: f.Seq, Payload: f.Payload()})
+		g := got[i]
+		if g.Verdict != want.Verdict || g.DIP != want.DIP || g.KeyHash != want.KeyHash ||
+			g.Digest != want.Digest || g.Version != want.Version {
+			t.Fatalf("%s, %d pipes, packet %d: batch %+v, per-packet %+v", label, e.NumPipes(), i, g, want)
 		}
-		frames := framesN(t, conns, flags)
-		pkts := make([]*netproto.Packet, conns)
-		for i := 0; i < conns; i++ {
-			pkts[i] = &netproto.Packet{Tuple: tupleN(i), TCPFlags: flags}
-		}
-		framesEng.ProcessFramesInto(now, frames, results)
-		want := structEng.ProcessBatch(now, pkts)
-		for i := range results {
-			if results[i].Verdict != want[i].Verdict || results[i].DIP != want[i].DIP ||
-				results[i].Version != want[i].Version {
-				t.Fatalf("round %d packet %d: frames %+v, structs %+v", round, i, results[i], want[i])
-			}
-		}
-		if round == 2 {
-			// Shrink the pool mid-workload on both engines: the frame path
-			// must ride the 3-step update identically.
-			if err := framesEng.RemoveDIP(now, testVIP(), testPool(8)[7]); err != nil {
-				t.Fatal(err)
-			}
-			if err := structEng.RemoveDIP(now, testVIP(), testPool(8)[7]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		now = now.Add(simtime.Duration(simtime.Second))
-		framesEng.Advance(now)
-		structEng.Advance(now)
 	}
-	// Both engines must have sharded identically (same seeds, same lanes).
-	fs, ss := framesEng.Stats(), structEng.Stats()
-	for pi := range fs.PipePackets {
-		if fs.PipePackets[pi] != ss.PipePackets[pi] {
-			t.Fatalf("pipe %d: frames engine %d packets, struct engine %d — shard divergence",
-				pi, fs.PipePackets[pi], ss.PipePackets[pi])
+}
+
+// TestFramesBatchMatchesStructBatch runs the same workload — SYN round,
+// established rounds, a DIP pool update in the middle — as frame batches
+// on one engine and packet by packet on a twin, at 1, 2 and 4 pipes. Both
+// engines must also shard identically (same seeds, same lanes).
+func TestFramesBatchMatchesStructBatch(t *testing.T) {
+	for _, pipes := range []int{1, 2, 4} {
+		framesEng := newTestEngine(t, pipes, 10000)
+		structEng := newTestEngine(t, pipes, 10000)
+		const conns = 300
+		now := simtime.Time(0)
+		for round := 0; round < 6; round++ {
+			flags := netproto.FlagACK
+			if round == 0 {
+				flags = netproto.FlagSYN
+			}
+			matchesPacketTwin(t, fmt.Sprintf("round %d", round), framesEng, structEng, now, framesN(t, conns, flags))
+			if round == 2 {
+				// Shrink the pool mid-workload on both engines: the frame
+				// path must ride the 3-step update identically.
+				if err := framesEng.RemoveDIP(now, testVIP(), testPool(8)[7]); err != nil {
+					t.Fatal(err)
+				}
+				if err := structEng.RemoveDIP(now, testVIP(), testPool(8)[7]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now = now.Add(simtime.Duration(simtime.Second))
+			framesEng.Advance(now)
+			structEng.Advance(now)
+		}
+		fs, ss := framesEng.Stats(), structEng.Stats()
+		for pi := range fs.PipePackets {
+			if fs.PipePackets[pi] != ss.PipePackets[pi] {
+				t.Fatalf("%d pipes, pipe %d: frames engine %d packets, struct engine %d — shard divergence",
+					pipes, pi, fs.PipePackets[pi], ss.PipePackets[pi])
+			}
 		}
 	}
 }
@@ -122,7 +136,7 @@ func TestFramesBatchSteadyStateAllocs(t *testing.T) {
 	e := newTestEngine(t, 4, 10000)
 	const conns = 256
 	now := simtime.Time(0)
-	e.ProcessFrames(now, framesN(t, conns, netproto.FlagSYN))
+	batch(e, now, framesN(t, conns, netproto.FlagSYN))
 	now = now.Add(simtime.Duration(10 * simtime.Second))
 	e.Advance(now)
 	frames := framesN(t, conns, netproto.FlagACK)

@@ -15,17 +15,18 @@
 // configuration is replicated to every pipe, exactly as the control plane
 // programs identical VIPTable/DIPPoolTable contents into each pipeline.
 //
-// On a multi-pipe engine ProcessBatch drives the pipes through N
+// Batches are wire frames (netproto.Frame), the one batch currency. On a
+// multi-pipe engine ProcessFramesInto drives the pipes through N
 // long-lived worker goroutines — one per pipe, started lazily on the first
 // batch and stopped by Close — fed by bounded SPSC descriptor rings (see
 // ring.go). The batch path is allocation-free in steady state: shard
-// buffers and lane-hash buffers are per-engine and reused, the pipe choice
-// and the per-pipe key hashes all derive from one chip-level lane hash per
-// packet (no 37-byte KeyBytes serialization on the hot path), and each
-// result slot is written in place by exactly one executor. This both
-// exercises the sharded path under the race detector and, on multi-core
-// hosts, lets the simulation itself scale. Aggregate Stats, Metrics and
-// SRAM figures are chip-level sums over the pipes.
+// buffers are per-engine and reused, the pipe choice and the per-pipe key
+// hashes all derive from one chip-level lane hash per frame, memoized in
+// the frame by the shard pass (no 37-byte KeyBytes serialization on the
+// hot path), and each result slot is written in place by exactly one
+// executor. This both exercises the sharded path under the race detector
+// and, on multi-core hosts, lets the simulation itself scale. Aggregate
+// Stats, Metrics and SRAM figures are chip-level sums over the pipes.
 //
 // The silkroad facade builds every switch on an Engine, so a one-pipe
 // engine is the classic single-pipeline switch. Its pipe runs on the
@@ -64,7 +65,7 @@ type Config struct {
 	// Tracer receives telemetry from every pipe, labelled with the pipe
 	// index. It overrides Dataplane.Tracer (which would mislabel all pipes
 	// with one index). Implementations must be safe for concurrent use:
-	// pipes emit events in parallel under ProcessBatch.
+	// pipes emit events in parallel under ProcessFramesInto.
 	Tracer telemetry.Tracer
 }
 
@@ -87,13 +88,12 @@ type Engine struct {
 	pipes    []*pipe
 
 	// Batch path state (multi-pipe only). batchMu serializes producers:
-	// it keeps each pipe's ring single-producer and lets the shard/lane
-	// buffers below be reused allocation-free across batches.
+	// it keeps each pipe's ring single-producer and lets the shard buffers
+	// below be reused allocation-free across batches.
 	batchMu  sync.Mutex
 	workers  []*pipeWorker
 	jobs     []*batchJob
-	shards   [][]int32 // per-pipe packet indices, reused
-	lanes    []uint64  // per-packet lane hashes, reused
+	shards   [][]int32 // per-pipe frame indices, reused
 	batchWG  sync.WaitGroup
 	started  bool // workers launched (lazily, on first batch)
 	closed   bool // Close ran; later batches execute on the caller
@@ -182,7 +182,7 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Close stops the engine's per-pipe batch workers and waits for them to
-// exit. It is idempotent, safe to call concurrently with ProcessBatch —
+// exit. It is idempotent, safe to call concurrently with ProcessFramesInto —
 // in-flight batches complete first — and does not disable the engine:
 // later batches still work, executing on the caller's goroutine through
 // the same job path. Single-pipe engines have no workers; Close is a
@@ -210,17 +210,22 @@ func (e *Engine) NumPipes() int { return len(e.pipes) }
 // shard hashes the full 5-tuple — through the chip-level lane hash, not a
 // KeyBytes serialization round-trip — so sharding stays stable for a
 // connection's lifetime and per-pipe ConnTables never see each other's
-// flows. Every tuple-addressed entry point (Process, ProcessBatch,
-// EndConnection) uses this one mapping.
+// flows. Every tuple-addressed entry point (Process, ProcessFrame,
+// ProcessFramesInto, EndConnection) uses this one mapping.
 func (e *Engine) PipeOf(t netproto.FiveTuple) int {
 	if len(e.pipes) == 1 {
 		return 0
 	}
-	return int(hashing.HashUint64(e.seed, netproto.LaneHash(e.laneSeed, &t)) % uint64(len(e.pipes)))
+	return e.pipeOfLane(netproto.LaneHash(e.laneSeed, &t))
+}
+
+// pipeOfLane maps a chip-level lane hash to its pipe.
+func (e *Engine) pipeOfLane(lane uint64) int {
+	return int(hashing.HashUint64(e.seed, lane) % uint64(len(e.pipes)))
 }
 
 // Dataplane exposes pipe i's data plane for inspection. Callers must not
-// interleave direct mutations with concurrent ProcessBatch calls; the
+// interleave direct mutations with concurrent batches; the
 // accessor bypasses the pipe lock.
 func (e *Engine) Dataplane(i int) *dataplane.Switch { return e.pipes[i].dp }
 
@@ -228,7 +233,7 @@ func (e *Engine) Dataplane(i int) *dataplane.Switch { return e.pipes[i].dp }
 func (e *Engine) Controlplane(i int) *ctrlplane.ControlPlane { return e.pipes[i].cp }
 
 // Inspect runs fn against pipe i's planes under the pipe lock, so debug
-// surfaces can read table state safely while ProcessBatch workers run on
+// surfaces can read table state safely while batch workers run on
 // other goroutines. fn must not retain the pointers past its return.
 func (e *Engine) Inspect(i int, fn func(dp *dataplane.Switch, cp *ctrlplane.ControlPlane)) {
 	p := e.pipes[i]
@@ -262,27 +267,12 @@ func (e *Engine) SetLearnLoss(i int, rate float64, seed uint64) {
 	e.Inspect(i, func(dp *dataplane.Switch, _ *ctrlplane.ControlPlane) { dp.LearnFilter().SetLoss(rate, seed) })
 }
 
-// process runs one packet on pipe p. Callers hold p.mu.
-func (p *pipe) process(now simtime.Time, pkt *netproto.Packet) dataplane.Result {
-	p.cp.Advance(now)
-	res := p.dp.Process(now, pkt)
-	return p.cp.HandleResult(now, pkt, res)
-}
-
-// processFrame runs one wire frame on pipe p. Callers hold p.mu.
-func (p *pipe) processFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
-	p.cp.Advance(now)
-	res := p.dp.ProcessFrame(now, f)
-	p.cp.HandleTupleResultInto(now, f.Tuple, &res)
-	return res
-}
-
 // Process runs one packet through its owning pipe.
 func (e *Engine) Process(now simtime.Time, pkt *netproto.Packet) dataplane.Result {
 	p := e.pipes[e.PipeOf(pkt.Tuple)]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.process(now, pkt)
+	return p.cp.Process(now, pkt)
 }
 
 // ProcessFrame runs one wire frame through its owning pipe. The frame's
@@ -291,32 +281,26 @@ func (e *Engine) Process(now simtime.Time, pkt *netproto.Packet) dataplane.Resul
 func (e *Engine) ProcessFrame(now simtime.Time, f *netproto.Frame) dataplane.Result {
 	pi := 0
 	if len(e.pipes) > 1 {
-		pi = int(hashing.HashUint64(e.seed, f.LaneHash(e.laneSeed)) % uint64(len(e.pipes)))
+		pi = e.pipeOfLane(f.LaneHash(e.laneSeed))
 	}
 	p := e.pipes[pi]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.processFrame(now, f)
+	return p.cp.ProcessFrame(now, f)
 }
 
-// ProcessBatch runs a batch of packets through the chip: packets are
-// scattered to their owning pipes, each pipe processes its share in
-// arrival order, and results are gathered back in input order. Result i
-// corresponds to pkts[i]. On a multi-pipe engine the shares run as jobs on
-// the per-pipe workers (see ring.go); the call returns once every share
-// has completed.
-func (e *Engine) ProcessBatch(now simtime.Time, pkts []*netproto.Packet) []dataplane.Result {
-	results := make([]dataplane.Result, len(pkts))
-	e.ProcessBatchInto(now, pkts, results)
-	return results
-}
-
-// ProcessBatchInto is ProcessBatch writing into a caller-provided results
-// slice (len(results) >= len(pkts)), the allocation-free form for callers
-// that reuse buffers across batches. results[i] corresponds to pkts[i];
-// slots past len(pkts) are untouched.
-func (e *Engine) ProcessBatchInto(now simtime.Time, pkts []*netproto.Packet, results []dataplane.Result) {
-	if len(pkts) == 0 {
+// ProcessFramesInto runs a batch of wire frames through the chip, writing
+// into a caller-provided results slice (len(results) >= len(frames));
+// results[i] corresponds to frames[i] and slots past len(frames) are
+// untouched. Frames are scattered to their owning pipes by their cached
+// lane hash, each pipe processes its share in arrival order with zero
+// re-decode, and the call returns once every share has completed. On a
+// multi-pipe engine the shares run as jobs on the per-pipe workers (see
+// ring.go). Beyond the lane-hash memo the pipeline never writes a frame —
+// TX rewrites belong to the caller after the verdicts return. Reusing
+// frame and result buffers across batches makes the call allocation-free.
+func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, results []dataplane.Result) {
+	if len(frames) == 0 {
 		return
 	}
 	if len(e.pipes) == 1 {
@@ -324,87 +308,32 @@ func (e *Engine) ProcessBatchInto(now simtime.Time, pkts []*netproto.Packet, res
 		// nothing to shard and nothing to hand off.
 		p := e.pipes[0]
 		p.mu.Lock()
-		for i, pkt := range pkts {
-			results[i] = p.process(now, pkt)
-		}
-		p.mu.Unlock()
-		return
-	}
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	// Scatter: one lane hash per packet feeds both the pipe choice and —
-	// via ProcessLane — the pipe's key hash and digest, so the tuple is
-	// hashed exactly once on this path. Index lists preserve arrival order
-	// within a pipe.
-	lanes := e.shard(len(pkts), func(i int) uint64 {
-		return netproto.LaneHash(e.laneSeed, &pkts[i].Tuple)
-	})
-	e.runShards(now, pkts, nil, lanes, results)
-}
-
-// ProcessFrames is ProcessBatch on the wire-native currency: each frame is
-// routed to its owning pipe by its cached lane hash and processed with zero
-// re-decode. results[i] corresponds to frames[i]. Frames are read, never
-// written, by the pipeline — TX rewrites belong to the caller after the
-// verdicts return.
-func (e *Engine) ProcessFrames(now simtime.Time, frames []netproto.Frame) []dataplane.Result {
-	results := make([]dataplane.Result, len(frames))
-	e.ProcessFramesInto(now, frames, results)
-	return results
-}
-
-// ProcessFramesInto is ProcessFrames writing into a caller-provided results
-// slice (len(results) >= len(frames)), the allocation-free form for the
-// socket RX loop that reuses frame and result buffers across batches.
-func (e *Engine) ProcessFramesInto(now simtime.Time, frames []netproto.Frame, results []dataplane.Result) {
-	if len(frames) == 0 {
-		return
-	}
-	if len(e.pipes) == 1 {
-		p := e.pipes[0]
-		p.mu.Lock()
 		for i := range frames {
-			results[i] = p.processFrame(now, &frames[i])
+			results[i] = p.cp.ProcessFrame(now, &frames[i])
 		}
 		p.mu.Unlock()
 		return
 	}
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
-	// The frame memoizes its lane hash at first use (the producer computes
-	// it here, before publication), so re-batching the same frames — e.g. a
-	// retried TX — never re-hashes the tuple.
-	lanes := e.shard(len(frames), func(i int) uint64 {
-		return frames[i].LaneHash(e.laneSeed)
-	})
-	e.runShards(now, nil, frames, lanes, results)
-}
-
-// shard fills e.shards with per-pipe packet index lists from one lane hash
-// per packet and returns the reused lane buffer. Callers hold batchMu.
-func (e *Engine) shard(count int, laneOf func(i int) uint64) []uint64 {
-	if cap(e.lanes) < count {
-		e.lanes = make([]uint64, count)
-	}
-	lanes := e.lanes[:count]
-	n := uint64(len(e.pipes))
+	// Scatter: one lane hash per frame feeds both the pipe choice and the
+	// pipe's key hash and digest. The frame memoizes it here, before the
+	// jobs are published, so workers only read the cache and re-batching
+	// the same frames — e.g. a retried TX — never re-hashes the tuple.
+	// Index lists preserve arrival order within a pipe.
 	for pi := range e.shards {
 		e.shards[pi] = e.shards[pi][:0]
 	}
-	for i := 0; i < count; i++ {
-		lane := laneOf(i)
-		lanes[i] = lane
-		pi := hashing.HashUint64(e.seed, lane) % n
+	for i := range frames {
+		pi := e.pipeOfLane(frames[i].LaneHash(e.laneSeed))
 		e.shards[pi] = append(e.shards[pi], int32(i))
 	}
-	return lanes
+	e.runShards(now, frames, results)
 }
 
 // runShards publishes one descriptor per non-empty shard, wakes the
-// workers, assists, and waits for batch completion. Exactly one of pkts and
-// frames is non-nil — the descriptor carries whichever currency the batch
-// uses. Callers hold batchMu.
-func (e *Engine) runShards(now simtime.Time, pkts []*netproto.Packet, frames []netproto.Frame, lanes []uint64, results []dataplane.Result) {
+// workers, assists, and waits for batch completion. Callers hold batchMu.
+func (e *Engine) runShards(now simtime.Time, frames []netproto.Frame, results []dataplane.Result) {
 	if !e.started && !e.closed {
 		e.started = true
 		for pi := range e.pipes {
@@ -420,7 +349,7 @@ func (e *Engine) runShards(now simtime.Time, pkts []*netproto.Packet, frames []n
 			continue
 		}
 		j := e.jobs[pi]
-		j.now, j.pkts, j.frames, j.idxs, j.lanes, j.results = now, pkts, frames, e.shards[pi], lanes, results
+		j.now, j.frames, j.idxs, j.results = now, frames, e.shards[pi], results
 		// Order matters: the completion count and the job fields must be in
 		// place before the state reset publishes the job — a worker can
 		// claim it through a stale ring entry the instant state reads
@@ -443,10 +372,10 @@ func (e *Engine) runShards(now simtime.Time, pkts []*netproto.Packet, frames []n
 	}
 	e.batchWG.Wait()
 	// Drop the caller's memory from the reusable descriptors so the engine
-	// does not pin the last batch's packets between calls.
+	// does not pin the last batch's frames between calls.
 	for pi := range e.pipes {
 		j := e.jobs[pi]
-		j.pkts, j.frames, j.idxs, j.lanes, j.results = nil, nil, nil, nil, nil
+		j.frames, j.idxs, j.results = nil, nil, nil
 	}
 }
 

@@ -88,33 +88,14 @@ func TestShardingPinsConnections(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential asserts ProcessBatch returns, in input order,
-// exactly the results a sequential per-packet run yields on an identical
-// engine.
+// TestBatchMatchesSequential asserts a frame batch returns, in input
+// order, exactly the results a sequential per-packet run yields on an
+// identical engine — including a SYN batch that repeats connections, so
+// later copies see the state earlier copies left behind.
 func TestBatchMatchesSequential(t *testing.T) {
-	mk := func() *Engine {
-		e, err := New(testConfig(4, 10000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.AddVIP(0, testVIP(), testPool(8), 0); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	var pkts []*netproto.Packet
-	for i := 0; i < 300; i++ {
-		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i % 120), TCPFlags: netproto.FlagSYN})
-	}
-
-	batched := mk().ProcessBatch(1000, pkts)
-	seq := mk()
-	for i, pkt := range pkts {
-		want := seq.Process(1000, pkt)
-		got := batched[i]
-		if got.Verdict != want.Verdict || got.DIP != want.DIP || got.Version != want.Version {
-			t.Fatalf("packet %d: batch = %+v, sequential = %+v", i, got, want)
-		}
+	for _, pipes := range []int{1, 2, 4} {
+		frames := framesOf(t, 300, netproto.FlagSYN, func(i int) netproto.FiveTuple { return tupleN(i % 120) })
+		matchesPacketTwin(t, "repeated SYNs", newTestEngine(t, pipes, 10000), newTestEngine(t, pipes, 10000), 1000, frames)
 	}
 }
 
@@ -132,12 +113,8 @@ func TestPerConnectionConsistencyAcrossBatches(t *testing.T) {
 	}
 	const conns = 400
 	first := make(map[int]dataplane.DIP, conns)
-	var pkts []*netproto.Packet
-	for i := 0; i < conns; i++ {
-		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
-	}
 	now := simtime.Time(0)
-	for i, res := range e.ProcessBatch(now, pkts) {
+	for i, res := range batch(e, now, framesN(t, conns, netproto.FlagSYN)) {
 		if res.Verdict != dataplane.VerdictForward {
 			t.Fatalf("conn %d: verdict %v", i, res.Verdict)
 		}
@@ -154,11 +131,7 @@ func TestPerConnectionConsistencyAcrossBatches(t *testing.T) {
 	now = now.Add(simtime.Duration(simtime.Second))
 	e.Advance(now)
 
-	var data []*netproto.Packet
-	for i := 0; i < conns; i++ {
-		data = append(data, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagACK})
-	}
-	for i, res := range e.ProcessBatch(now, data) {
+	for i, res := range batch(e, now, framesN(t, conns, netproto.FlagACK)) {
 		if first[i] == removed {
 			continue // pinned to the DIP that left service; exempt
 		}
@@ -179,11 +152,7 @@ func TestAggregatedStats(t *testing.T) {
 	if err := e.AddVIP(0, testVIP(), testPool(4), 0); err != nil {
 		t.Fatal(err)
 	}
-	var pkts []*netproto.Packet
-	for i := 0; i < 500; i++ {
-		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
-	}
-	e.ProcessBatch(0, pkts)
+	batch(e, 0, framesN(t, 500, netproto.FlagSYN))
 	e.Advance(simtime.Time(simtime.Second))
 
 	var want dataplane.Stats
@@ -249,11 +218,7 @@ func TestEmptyPoolDropsMultiPipe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var pkts []*netproto.Packet
-	for i := 0; i < 200; i++ {
-		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
-	}
-	for i, res := range e.ProcessBatch(0, pkts) {
+	for i, res := range batch(e, 0, framesN(t, 200, netproto.FlagSYN)) {
 		if res.Verdict != dataplane.VerdictNoBackend {
 			t.Fatalf("packet %d: verdict = %v, want %v", i, res.Verdict, dataplane.VerdictNoBackend)
 		}
@@ -307,18 +272,16 @@ func TestConcurrentTrafficAndUpdates(t *testing.T) {
 	const workers = 4
 	const perWorker = 300
 	now := simtime.Time(simtime.Second)
+	var shares [workers][]netproto.Frame
+	for w := range shares {
+		shares[w] = framesOf(t, perWorker, netproto.FlagSYN, func(i int) netproto.FiveTuple { return tupleN(w*perWorker + i) })
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var pkts []*netproto.Packet
-			for i := 0; i < perWorker; i++ {
-				pkts = append(pkts, &netproto.Packet{
-					Tuple: tupleN(w*perWorker + i), TCPFlags: netproto.FlagSYN,
-				})
-			}
-			for _, res := range e.ProcessBatch(now, pkts) {
+			for _, res := range batch(e, now, shares[w]) {
 				if res.Verdict != dataplane.VerdictForward &&
 					res.Verdict != dataplane.VerdictNoBackend {
 					t.Errorf("unexpected verdict %v", res.Verdict)

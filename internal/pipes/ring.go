@@ -2,7 +2,7 @@ package pipes
 
 // The batch hot path: persistent per-pipe workers fed by bounded SPSC
 // descriptor rings, in the run-to-completion style of software fast paths
-// (DPDK, Maglev). ProcessBatch is the single producer — serialized by the
+// (DPDK, Maglev). ProcessFramesInto is the single producer — serialized by the
 // engine's batch lock — and each pipe's worker is the single consumer of
 // its ring. A descriptor covers a pipe's whole share of one batch, so the
 // ring traffic is O(pipes) per batch, not O(packets).
@@ -32,20 +32,16 @@ const (
 	jobClaimed               // an executor won the CAS and owns the job
 )
 
-// batchJob describes one pipe's share of a ProcessBatch call. The engine
+// batchJob describes one pipe's share of a ProcessFramesInto call. The engine
 // keeps one reusable descriptor per pipe: the producer republishes it each
 // batch by rewriting the fields and resetting state to jobQueued. A stale
 // ring entry can therefore alias a republished descriptor; the claim CAS
 // makes that harmless — each publication is executed exactly once, by
 // exactly one goroutine, whichever entry it was claimed through.
 type batchJob struct {
-	now simtime.Time
-	// Exactly one of pkts and frames is non-nil: the descriptor carries a
-	// struct-currency batch or a wire-frame batch.
-	pkts    []*netproto.Packet
-	frames  []netproto.Frame
-	idxs    []int32  // indices into pkts/frames owned by this pipe, arrival order
-	lanes   []uint64 // chip-level lane hash per packet (indexed like pkts)
+	now     simtime.Time
+	frames  []netproto.Frame // lane hashes already memoized by the shard pass
+	idxs    []int32          // indices into frames owned by this pipe, arrival order
 	results []dataplane.Result
 	state   atomic.Uint32
 	wg      *sync.WaitGroup // the engine's batch completion group
@@ -132,25 +128,17 @@ func (e *Engine) executeJob(pi int, j *batchJob) {
 // runJob processes one pipe's shard under the pipe lock. Background CPU
 // work is advanced once for the whole shard — every packet of a job shares
 // its timestamp, so the per-packet Advance of the single-packet path would
-// re-discover "nothing due" len(idxs)-1 times. Packets then run in arrival
+// re-discover "nothing due" len(idxs)-1 times. Frames then run in arrival
 // order; disjoint index sets across pipes make each result slot
 // single-writer.
 func (e *Engine) runJob(pi int, j *batchJob) {
 	p := e.pipes[pi]
 	p.mu.Lock()
 	p.cp.Advance(j.now)
-	if j.frames != nil {
-		for _, i := range j.idxs {
-			f := &j.frames[i]
-			p.dp.ProcessFrameInto(j.now, f, j.lanes[i], &j.results[i])
-			p.cp.HandleTupleResultInto(j.now, f.Tuple, &j.results[i])
-		}
-	} else {
-		for _, i := range j.idxs {
-			pkt := j.pkts[i]
-			p.dp.ProcessLaneInto(j.now, pkt, j.lanes[i], &j.results[i])
-			p.cp.HandleResultInto(j.now, pkt, &j.results[i])
-		}
+	for _, i := range j.idxs {
+		f := &j.frames[i]
+		p.dp.ProcessFrameInto(j.now, f, &j.results[i])
+		p.cp.HandleTupleResultInto(j.now, f.Tuple, &j.results[i])
 	}
 	p.mu.Unlock()
 }

@@ -5,6 +5,7 @@ package pipes
 // the multi-pipe hot-path rework.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -105,75 +106,71 @@ func TestFanoutRollsBackOnPipeFailure(t *testing.T) {
 }
 
 // TestWorkerBatchMatchesSequential drives the worker path through many
-// batches (SYNs, then established traffic, across an update) and asserts
-// input-order results identical in the stable fields to the same workload
-// run packet-at-a-time on a twin engine — the ring path must not reorder
-// or cross-wire result slots.
+// batches (SYNs, then established traffic) at 1, 2 and 4 pipes and asserts
+// input-order results identical to the same workload run packet-at-a-time
+// on a twin engine — the ring path must not reorder or cross-wire result
+// slots.
 func TestWorkerBatchMatchesSequential(t *testing.T) {
-	batched := newTestEngine(t, 4, 10000)
-	seq := newTestEngine(t, 4, 10000)
-	const conns = 300
-	now := simtime.Time(0)
-	for round := 0; round < 6; round++ {
-		var pkts []*netproto.Packet
-		for i := 0; i < conns; i++ {
+	for _, pipes := range []int{1, 2, 4} {
+		batched := newTestEngine(t, pipes, 10000)
+		seq := newTestEngine(t, pipes, 10000)
+		const conns = 300
+		now := simtime.Time(0)
+		for round := 0; round < 6; round++ {
 			flags := netproto.FlagACK
 			if round == 0 {
 				flags = netproto.FlagSYN
 			}
-			pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: flags})
+			matchesPacketTwin(t, fmt.Sprintf("round %d", round), batched, seq, now, framesN(t, conns, flags))
+			now = now.Add(simtime.Duration(simtime.Second))
+			batched.Advance(now)
+			seq.Advance(now)
 		}
-		got := batched.ProcessBatch(now, pkts)
-		for i, pkt := range pkts {
-			cp := *pkt
-			want := seq.Process(now, &cp)
-			if got[i].Verdict != want.Verdict || got[i].DIP != want.DIP || got[i].Version != want.Version {
-				t.Fatalf("round %d packet %d: batch %+v, sequential %+v", round, i, got[i], want)
+		// Shard balance: the worker path must spread work like PipeOf says.
+		st := batched.Stats()
+		for pi, n := range st.PipePackets {
+			if n == 0 {
+				t.Fatalf("%d pipes: pipe %d processed no packets: %v", pipes, pi, st.PipePackets)
 			}
 		}
-		now = now.Add(simtime.Duration(simtime.Second))
-		batched.Advance(now)
-		seq.Advance(now)
-	}
-	// Shard balance: the worker path must spread work like PipeOf says.
-	st := batched.Stats()
-	for pi, n := range st.PipePackets {
-		if n == 0 {
-			t.Fatalf("pipe %d processed no packets: %v", pi, st.PipePackets)
+		if st.Dataplane.Packets != uint64(6*conns) {
+			t.Fatalf("%d pipes: chip packets = %d, want %d", pipes, st.Dataplane.Packets, 6*conns)
 		}
-	}
-	if st.Dataplane.Packets != uint64(6*conns) {
-		t.Fatalf("chip packets = %d, want %d", st.Dataplane.Packets, 6*conns)
 	}
 }
 
-// TestInterleavedBatchesRace interleaves ProcessBatch calls from two
-// goroutines with config fanout, stats reads and a Close, all under the
-// race detector: the batch lock must serialize producers without
-// corrupting shard state, and Close must wait out in-flight batches.
+// TestInterleavedBatchesRace interleaves frame batches from two goroutines
+// with config fanout, stats reads and a Close, all under the race
+// detector: the batch lock must serialize producers without corrupting
+// shard state, and Close must wait out in-flight batches.
 func TestInterleavedBatchesRace(t *testing.T) {
 	e := newTestEngine(t, 4, 20000)
 	const rounds = 30
 	now := simtime.Time(simtime.Second)
+	// Frames are built up front: the helpers may call t.Fatal, which only
+	// the test goroutine may do.
+	var syn, ack [2][]netproto.Frame
+	for g := range syn {
+		tupleOf := func(i int) netproto.FiveTuple { return tupleN(g*1000 + i) }
+		syn[g] = framesOf(t, 150, netproto.FlagSYN, tupleOf)
+		ack[g] = framesOf(t, 150, netproto.FlagACK, tupleOf)
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
+	for g := range syn {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			results := make([]dataplane.Result, len(syn[g]))
 			for r := 0; r < rounds; r++ {
-				var pkts []*netproto.Packet
-				for i := 0; i < 150; i++ {
-					flags := netproto.FlagSYN
-					if r > 0 {
-						flags = netproto.FlagACK
-					}
-					pkts = append(pkts, &netproto.Packet{Tuple: tupleN(g*1000 + i), TCPFlags: flags})
+				frames := ack[g]
+				if r == 0 {
+					frames = syn[g]
 				}
-				res := e.ProcessBatch(now, pkts)
-				for i := range res {
-					if res[i].Verdict != dataplane.VerdictForward &&
-						res[i].Verdict != dataplane.VerdictNoBackend {
-						t.Errorf("goroutine %d round %d pkt %d: %v", g, r, i, res[i].Verdict)
+				e.ProcessFramesInto(now, frames, results)
+				for i := range results {
+					if results[i].Verdict != dataplane.VerdictForward &&
+						results[i].Verdict != dataplane.VerdictNoBackend {
+						t.Errorf("goroutine %d round %d frame %d: %v", g, r, i, results[i].Verdict)
 						return
 					}
 				}
@@ -200,9 +197,7 @@ func TestInterleavedBatchesRace(t *testing.T) {
 	wg.Wait()
 	e.Close()
 	// The engine stays usable after Close: batches run on the caller.
-	res := e.ProcessBatch(now.Add(simtime.Duration(simtime.Second)), []*netproto.Packet{
-		{Tuple: tupleN(5), TCPFlags: netproto.FlagACK},
-	})
+	res := batch(e, now.Add(simtime.Duration(simtime.Second)), ack[0][5:6])
 	if res[0].Verdict != dataplane.VerdictForward {
 		t.Fatalf("post-Close batch: %v", res[0].Verdict)
 	}
@@ -215,12 +210,8 @@ func TestInterleavedBatchesRace(t *testing.T) {
 // without any packet or Advance activity to "kick" the pipes.
 func TestNextDueWhileWorkersParked(t *testing.T) {
 	e := newTestEngine(t, 4, 10000)
-	var pkts []*netproto.Packet
-	for i := 0; i < 64; i++ {
-		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
-	}
 	now := simtime.Time(0)
-	res := e.ProcessBatch(now, pkts)
+	res := batch(e, now, framesN(t, 64, netproto.FlagSYN))
 	learned := false
 	for i := range res {
 		learned = learned || res[i].Learned
@@ -228,7 +219,7 @@ func TestNextDueWhileWorkersParked(t *testing.T) {
 	if !learned {
 		t.Fatal("SYN batch learned nothing")
 	}
-	// Workers are parked now (ProcessBatch returned). The learn flush and
+	// Workers are parked now (the batch returned). The learn flush and
 	// the pending inserts are due within a few filter timeouts; NextDue
 	// must surface that deadline.
 	at, ok := e.NextDue()
@@ -245,31 +236,42 @@ func TestNextDueWhileWorkersParked(t *testing.T) {
 	}
 }
 
-// TestBatchSteadyStateAllocs guards the allocation-free claim: once
-// connections are established, a ProcessBatchInto round trip must not
-// allocate per packet.
+// TestBatchSteadyStateAllocs guards the allocation-free claim of the
+// receive-loop pattern at 1, 2 and 4 pipes: each round re-parses the raw
+// bytes into the same reused frames — which clears their lane-hash memo,
+// so the shard pass must fill it again — and sweeps them through
+// ProcessFramesInto. Once connections are established, a round must not
+// allocate.
 func TestBatchSteadyStateAllocs(t *testing.T) {
-	e := newTestEngine(t, 4, 10000)
 	const conns = 256
-	var pkts []*netproto.Packet
-	for i := 0; i < conns; i++ {
-		pkts = append(pkts, &netproto.Packet{Tuple: tupleN(i), TCPFlags: netproto.FlagSYN})
-	}
-	now := simtime.Time(0)
-	e.ProcessBatch(now, pkts)
-	now = now.Add(simtime.Duration(10 * simtime.Second))
-	e.Advance(now)
-	for i := range pkts {
-		pkts[i].TCPFlags = netproto.FlagACK
-	}
-	results := make([]dataplane.Result, conns)
-	e.ProcessBatchInto(now, pkts, results) // warm the reusable buffers
-	avg := testing.AllocsPerRun(20, func() {
-		e.ProcessBatchInto(now, pkts, results)
-	})
-	// Budget: well under one allocation per packet; the shard machinery
-	// itself must contribute zero in steady state.
-	if avg > 8 {
-		t.Fatalf("steady-state batch allocates %.1f times per %d packets", avg, conns)
+	for _, pipes := range []int{1, 2, 4} {
+		e := newTestEngine(t, pipes, 10000)
+		now := simtime.Time(0)
+		batch(e, now, framesN(t, conns, netproto.FlagSYN))
+		now = now.Add(simtime.Duration(10 * simtime.Second))
+		e.Advance(now)
+		frames := framesN(t, conns, netproto.FlagACK)
+		raw := make([][]byte, conns)
+		for i := range frames {
+			raw[i] = frames[i].Data
+		}
+		results := make([]dataplane.Result, conns)
+		e.ProcessFramesInto(now, frames, results) // warm the reusable buffers
+		avg := testing.AllocsPerRun(20, func() {
+			for i := range frames {
+				if err := netproto.ParseFrame(raw[i], &frames[i]); err != nil {
+					panic(err)
+				}
+			}
+			e.ProcessFramesInto(now, frames, results)
+		})
+		if avg != 0 {
+			t.Fatalf("%d pipes: steady-state reparse+batch allocates %.1f times per %d frames, want 0", pipes, avg, conns)
+		}
+		for i := range results {
+			if !results[i].ConnHit {
+				t.Fatalf("%d pipes: frame %d missed the ConnTable after reparse: %+v", pipes, i, results[i])
+			}
+		}
 	}
 }

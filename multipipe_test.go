@@ -36,12 +36,8 @@ func TestMultiPipeEndToEnd(t *testing.T) {
 	}
 
 	const conns = 500
-	var pkts []*Packet
-	for i := 0; i < conns; i++ {
-		pkts = append(pkts, clientPkt(i, netproto.FlagSYN))
-	}
 	first := make([]DIP, conns)
-	for i, res := range sw.ProcessBatch(0, pkts) {
+	for i, res := range processFrames(sw, 0, clientFrames(t, conns, netproto.FlagSYN)) {
 		if res.Verdict != dataplane.VerdictForward || !res.DIP.IsValid() {
 			t.Fatalf("conn %d: %+v", i, res)
 		}
@@ -95,8 +91,9 @@ func TestMultiPipeMatchesSinglePipe(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pkts = append(pkts, clientPkt(i%150, netproto.FlagSYN))
 	}
-	r1 := one.ProcessBatch(0, pkts)
-	r4 := four.ProcessBatch(0, pkts)
+	frames := framesOf(t, pkts...)
+	r1 := processFrames(one, 0, frames)
+	r4 := processFrames(four, 0, frames)
 	for i := range pkts {
 		if r1[i].Verdict != r4[i].Verdict {
 			t.Fatalf("packet %d: single-pipe %v, multi-pipe %v", i, r1[i].Verdict, r4[i].Verdict)
@@ -107,8 +104,8 @@ func TestMultiPipeMatchesSinglePipe(t *testing.T) {
 	}
 }
 
-// TestSinglePipeBatchMatchesProcess asserts the batched entry point on a
-// single-pipe switch is just a loop over Process.
+// TestSinglePipeBatchMatchesProcess asserts a frame batch on a
+// single-pipe switch is just a loop over Process on the same packets.
 func TestSinglePipeBatchMatchesProcess(t *testing.T) {
 	batch := newSwitch(t)
 	loop := newSwitch(t)
@@ -116,7 +113,7 @@ func TestSinglePipeBatchMatchesProcess(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pkts = append(pkts, clientPkt(i%40, netproto.FlagSYN))
 	}
-	got := batch.ProcessBatch(0, pkts)
+	got := processFrames(batch, 0, framesOf(t, pkts...))
 	for i, pkt := range pkts {
 		want := loop.Process(0, pkt)
 		if got[i] != want {
@@ -166,8 +163,7 @@ func TestSinglePipeHashingMatchesBarePlanes(t *testing.T) {
 			}
 			now := Time(i) * Time(Microsecond)
 			got := sw.Process(now, pkt)
-			cp.Advance(now)
-			want := cp.HandleResult(now, pkt, dp.Process(now, pkt))
+			want := cp.Process(now, pkt)
 			if got.Verdict != dataplane.VerdictForward || got.DIP != want.DIP {
 				t.Fatalf("pipes=%d tuple %d: SYN went to %v (%v), bare planes chose %v", pipes, i, got.DIP, got.Verdict, want.DIP)
 			}

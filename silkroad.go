@@ -70,7 +70,7 @@ type (
 	Packet = netproto.Packet
 	// Frame is the parse-once view of a raw packet: the wire bytes plus the
 	// header offsets and five-tuple extracted in a single pass. It is the
-	// currency of the wire-native packet path (ProcessFrames, the tunnel);
+	// batch currency of the packet path (ProcessFramesInto, the tunnel);
 	// fill one with ParseFrame.
 	Frame = netproto.Frame
 	// Time is virtual time in nanoseconds.
@@ -383,7 +383,7 @@ func NewSwitch(cfg Config) (*Switch, error) {
 // it with the runtime, so evaluations fire in time order with all other
 // scheduled work under both Run and AdvanceTo. The evaluator reads only
 // the telemetry registry's atomic instruments — it never takes a pipe lock,
-// so evaluation cannot contend with ProcessBatch.
+// so evaluation cannot contend with the batch path.
 func (s *Switch) attachSLO(cfg Config) {
 	if cfg.SLO == nil {
 		return
@@ -630,47 +630,24 @@ func (s *Switch) ProcessFrame(now Time, f *Frame) Result {
 	return res
 }
 
-// ProcessBatch runs a batch of decoded packets through the switch and
-// returns one Result per packet, in input order. On a multi-pipe switch
-// the batch is sharded by connection onto the engine's persistent per-pipe
-// workers; on a one-pipe switch the batch is processed in order under one
-// lock acquisition.
-func (s *Switch) ProcessBatch(now Time, pkts []*Packet) []Result {
-	results := s.eng.ProcessBatch(now, pkts)
+// ProcessFramesInto runs a batch of parsed wire frames through the switch,
+// writing one Result per frame into a caller-provided results slice
+// (len(results) >= len(frames)); results[i] corresponds to frames[i]. On a
+// multi-pipe switch the batch is sharded by connection onto the engine's
+// persistent per-pipe workers; on a one-pipe switch it is processed in
+// order under one lock acquisition. The pipeline reads the frames but never
+// writes them beyond memoizing their lane hash; TX rewrites
+// (Frame.RewriteDst, EncapIPIP) belong to the caller once the verdicts are
+// back. Reusing frame and result buffers across batches, as the socket RX
+// loop does, makes the call allocation-free.
+func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
+	s.eng.ProcessFramesInto(now, frames, results)
 	// One poke covers the whole batch, even when several pipes queued new
 	// deadlines: the engine returns only after every pipe's share has
 	// completed, so all that work is already scheduled when the scan below
 	// runs, and Poke merely makes the wall driver re-read NextDue — the
 	// minimum deadline across every pipe — rather than waking it for a
 	// specific pipe. Breaking on the first hit is therefore wake-loss-free.
-	for i := range results {
-		if resultSchedulesWork(results[i]) {
-			s.poke()
-			break
-		}
-	}
-	return results
-}
-
-// ProcessFrames runs a batch of parsed wire frames through the switch and
-// returns one Result per frame, in input order — ProcessBatch on the
-// bytes-native currency. The pipeline reads the frames but never writes
-// them; TX rewrites (Frame.RewriteDst, EncapIPIP) belong to the caller
-// once the verdicts are back.
-func (s *Switch) ProcessFrames(now Time, frames []Frame) []Result {
-	results := make([]Result, len(frames))
-	s.ProcessFramesInto(now, frames, results)
-	return results
-}
-
-// ProcessFramesInto is ProcessFrames writing into a caller-provided
-// results slice (len(results) >= len(frames)) — the allocation-free form
-// the socket RX loop uses, reusing frame and result buffers across
-// batches. results[i] corresponds to frames[i].
-func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
-	s.eng.ProcessFramesInto(now, frames, results)
-	// Same single-poke logic as ProcessBatch: all new deadlines are already
-	// scheduled by the time the engine returns, so one wake-up suffices.
 	for i := range frames {
 		if resultSchedulesWork(results[i]) {
 			s.poke()
@@ -681,7 +658,7 @@ func (s *Switch) ProcessFramesInto(now Time, frames []Frame, results []Result) {
 
 // Close releases the switch's background machinery: it stops the engine's
 // per-pipe batch workers, if a multi-pipe switch started any, and waits
-// for them to exit (ProcessBatch keeps working afterwards — batches then
+// for them to exit (ProcessFramesInto keeps working afterwards — batches then
 // run on the caller's goroutine). A one-pipe switch has no workers. Close
 // does not stop an active Run; cancel that context first. Close is
 // idempotent and safe to call concurrently with the packet path.

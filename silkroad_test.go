@@ -34,6 +34,41 @@ func clientPkt(i int, flags uint8) *Packet {
 	}
 }
 
+// framesOf marshals each packet to wire bytes and parses it once into a
+// Frame, the batch currency.
+func framesOf(tb testing.TB, pkts ...*Packet) []Frame {
+	tb.Helper()
+	frames := make([]Frame, len(pkts))
+	for i, p := range pkts {
+		raw, err := p.Marshal(nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := ParseFrame(raw, &frames[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return frames
+}
+
+// clientFrames is framesOf over clients [0, n) with the given TCP flags.
+func clientFrames(tb testing.TB, n int, flags uint8) []Frame {
+	tb.Helper()
+	pkts := make([]*Packet, n)
+	for i := range pkts {
+		pkts[i] = clientPkt(i, flags)
+	}
+	return framesOf(tb, pkts...)
+}
+
+// processFrames runs frames through sw as one batch and returns the
+// results.
+func processFrames(sw *Switch, now Time, frames []Frame) []Result {
+	results := make([]Result, len(frames))
+	sw.ProcessFramesInto(now, frames, results)
+	return results
+}
+
 func TestProcessBasic(t *testing.T) {
 	sw := newSwitch(t)
 	res := sw.Process(0, clientPkt(1, netproto.FlagSYN))

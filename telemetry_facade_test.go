@@ -99,11 +99,7 @@ func TestAddVIPWithMeter(t *testing.T) {
 func TestPerPipeSymmetric(t *testing.T) {
 	for _, pipes := range []int{1, 2, 4} {
 		sw := newMultiSwitch(t, pipes)
-		var pkts []*Packet
-		for i := 0; i < 300; i++ {
-			pkts = append(pkts, clientPkt(i, netproto.FlagSYN))
-		}
-		sw.ProcessBatch(0, pkts)
+		processFrames(sw, 0, clientFrames(t, 300, netproto.FlagSYN))
 		sw.Advance(Time(Second))
 		for i := 0; i < 50; i++ {
 			raw, err := clientPkt(i, netproto.FlagACK).Marshal(nil)
@@ -175,23 +171,26 @@ func TestTelemetryConcurrentMultiPipe(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
+	// The traffic is built up front: framesOf may call t.Fatal, which only
+	// the test goroutine may do.
+	pkts := make([]*Packet, conns*passes)
+	for i := range pkts {
+		flags := netproto.FlagACK
+		if i < conns {
+			flags = netproto.FlagSYN
+		}
+		pkts[i] = clientPkt(i%conns, flags)
+	}
+	frames := framesOf(t, pkts...)
+
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(stop)
-		batch := make([]*Packet, 0, batchSize)
-		total := conns * passes
-		for p := 0; p < total; p += batchSize {
-			batch = batch[:0]
-			for i := p; i < p+batchSize && i < total; i++ {
-				flags := netproto.FlagACK
-				if i < conns {
-					flags = netproto.FlagSYN
-				}
-				batch = append(batch, clientPkt(i%conns, flags))
-			}
+		results := make([]Result, batchSize)
+		for p := 0; p < len(frames); p += batchSize {
 			now := Time(nowNS.Add(int64(10 * Microsecond)))
-			sw.ProcessBatch(now, batch)
+			sw.ProcessFramesInto(now, frames[p:min(p+batchSize, len(frames))], results)
 			sw.Advance(now)
 		}
 	}()
@@ -292,14 +291,15 @@ func TestTelemetryConcurrentMultiPipe(t *testing.T) {
 
 // --- hot-path overhead benchmarks ---------------------------------------
 //
-// BenchmarkProcessBatch{NilTracer,Telemetry,Recorder} measure the same
-// 4-pipe batch workload with no tracer, with the default registry, and
-// with a flight recorder (one armed flow not in the batch) wrapping the
+// BenchmarkFrameBatch{NilTracer,Telemetry,Recorder} measure the same
+// 4-pipe frame batch workload with no tracer, with the default registry,
+// and with a flight recorder (one armed flow not in the batch) wrapping the
 // registry; CI runs all three as a smoke against hot-path regressions
 // (both attached variants must stay within a few percent of the nil
-// tracer — the recorder's untraced fast path is one atomic load).
+// tracer — the recorder's untraced fast path is one atomic load). Frames
+// are built before the timer starts.
 
-func benchProcessBatch(b *testing.B, mode string) {
+func benchFrameBatch(b *testing.B, mode string) {
 	cfg := Defaults(1_000_000)
 	cfg.Pipes = 4
 	switch mode {
@@ -316,6 +316,7 @@ func benchProcessBatch(b *testing.B, mode string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sw.Close()
 	if err := sw.AddVIP(0, testVIP(), Pool("10.0.0.1:20", "10.0.0.2:20", "10.0.0.3:20")); err != nil {
 		b.Fatal(err)
 	}
@@ -328,26 +329,21 @@ func benchProcessBatch(b *testing.B, mode string) {
 	}
 	const conns = 8192
 	const batchSize = 256
-	batch := make([]*Packet, batchSize)
-	for i := range batch {
-		batch[i] = clientPkt(i, netproto.FlagSYN)
-	}
-	sw.ProcessBatch(0, batch)
+	results := make([]Result, batchSize)
+	sw.ProcessFramesInto(0, clientFrames(b, batchSize, netproto.FlagSYN), results)
 	sw.Advance(Time(5 * Millisecond))
+	ack := clientFrames(b, conns, netproto.FlagACK)
 	now := Time(10 * Millisecond)
 	b.ReportAllocs()
 	b.SetBytes(batchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := (i * batchSize) % conns
-		for j := range batch {
-			batch[j] = clientPkt((base+j)%conns, netproto.FlagACK)
-		}
-		sw.ProcessBatch(now, batch)
+		sw.ProcessFramesInto(now, ack[base:base+batchSize], results)
 		now = now.Add(Microsecond)
 	}
 }
 
-func BenchmarkProcessBatchNilTracer(b *testing.B) { benchProcessBatch(b, "nil") }
-func BenchmarkProcessBatchTelemetry(b *testing.B) { benchProcessBatch(b, "telemetry") }
-func BenchmarkProcessBatchRecorder(b *testing.B)  { benchProcessBatch(b, "recorder") }
+func BenchmarkFrameBatchNilTracer(b *testing.B) { benchFrameBatch(b, "nil") }
+func BenchmarkFrameBatchTelemetry(b *testing.B) { benchFrameBatch(b, "telemetry") }
+func BenchmarkFrameBatchRecorder(b *testing.B)  { benchFrameBatch(b, "recorder") }

@@ -3,7 +3,7 @@ package silkroad
 // The UDP-encap tunnel: the switch's first real I/O loop. Each UDP
 // datagram's payload is one raw IPv4/IPv6 packet (the encapsulation a ToR
 // would feed a software LB), read in batches into reusable frame buffers,
-// parsed once, pushed through ProcessFrames, and transmitted to the chosen
+// parsed once, pushed through ProcessFramesInto, and transmitted to the chosen
 // DIP — rewritten in place (DNAT) or IP-in-IP encapsulated (DSR), both
 // straight off the frame's cached offsets. The loop is unprivileged (plain
 // UDP sockets, no raw-socket capability) and allocation-free in steady

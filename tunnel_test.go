@@ -7,9 +7,11 @@ package silkroad
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,9 +132,17 @@ func startTunnel(t *testing.T, sw *Switch, mode string) *tunnelHarness {
 }
 
 // send marshals one TCP packet for the VIP from client source port src and
-// writes it to the tunnel.
+// writes it to the tunnel, failing the test on any error.
 func (h *tunnelHarness) send(t *testing.T, vip VIP, src uint16, flags uint8) {
 	t.Helper()
+	if err := h.write(vip, src, flags); err != nil {
+		t.Fatalf("client send: %v", err)
+	}
+}
+
+// write is send returning its error instead of failing the test, for
+// goroutines other than the test's own.
+func (h *tunnelHarness) write(vip VIP, src uint16, flags uint8) error {
 	p := Packet{
 		Tuple: FiveTuple{
 			Src:     netip.MustParseAddr("10.1.0.1"),
@@ -146,11 +156,10 @@ func (h *tunnelHarness) send(t *testing.T, vip VIP, src uint16, flags uint8) {
 	}
 	raw, err := p.Marshal(nil)
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		return fmt.Errorf("marshal: %w", err)
 	}
-	if _, err := h.client.Write(raw); err != nil {
-		t.Fatalf("client send: %v", err)
-	}
+	_, err = h.client.Write(raw)
+	return err
 }
 
 // waitForwarded polls until the tunnel has forwarded at least want packets
@@ -403,10 +412,19 @@ func TestTunnelGracefulShutdown(t *testing.T) {
 	}
 	h := startTunnel(t, sw, TunnelRewrite)
 
-	// Traffic source: hammer the tunnel until told to stop.
+	// Traffic source: hammer the tunnel until told to stop. Once cancel
+	// closes the tunnel socket, loopback answers the next datagram with a
+	// port-unreachable that a later write reports as "connection refused";
+	// the stream ends at the first write error after cancel. An error
+	// before cancel is a real failure.
 	stop := make(chan struct{})
+	var cancelled atomic.Bool
 	var senderWG sync.WaitGroup
 	senderWG.Add(1)
+	defer func() {
+		close(stop)
+		senderWG.Wait()
+	}()
 	go func() {
 		defer senderWG.Done()
 		src := uint16(40000)
@@ -416,7 +434,12 @@ func TestTunnelGracefulShutdown(t *testing.T) {
 				return
 			default:
 			}
-			h.send(t, vip, src, FlagSYN)
+			if err := h.write(vip, src, FlagSYN); err != nil {
+				if !cancelled.Load() {
+					t.Errorf("client send before cancel: %v", err)
+				}
+				return
+			}
 			src++
 		}
 	}()
@@ -429,14 +452,13 @@ func TestTunnelGracefulShutdown(t *testing.T) {
 	if h.tun.Stats().Forwarded == 0 {
 		t.Fatal("no traffic flowed before shutdown")
 	}
+	cancelled.Store(true)
 	h.cancel()
 	select {
 	case <-h.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after mid-traffic cancellation")
 	}
-	close(stop)
-	senderWG.Wait()
 
 	st := h.tun.Stats()
 	if st.Forwarded == 0 {
